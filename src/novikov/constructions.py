@@ -30,7 +30,7 @@ def gd_construct(B, d, check=True):
         raise NotADerivationError(
             f"map fails the product rule on basis pair {leib.failure.indices}")
     dcols = [d.column(j) for j in range(B.dim)]
-    cube = [[B.multiply(B.basis_vector(i), dcols[j]) for j in range(B.dim)]
+    cube = [[B.left_basis_mul(i, dcols[j]) for j in range(B.dim)]
             for i in range(B.dim)]
     A = AlgebraTable(B.field, cube, B.basis_names)
     if check:

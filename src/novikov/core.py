@@ -22,9 +22,11 @@ class AlgebraTable:
     """Finite-dimensional algebra over an exact field.
 
     Unspecified structure constants are zero; the cube is always total.
+    The sparse index of the cube and the hash are filled in on first use;
+    both are pure functions of the cube, so a race only computes them twice.
     """
 
-    __slots__ = ("field", "dim", "cube", "basis_names")
+    __slots__ = ("field", "dim", "cube", "basis_names", "_sparse", "_hash")
 
     def __init__(self, field, cube, basis_names=None):
         dim = len(cube)
@@ -43,6 +45,8 @@ class AlgebraTable:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "cube", tuple(rows))
         object.__setattr__(self, "basis_names", basis_names)
+        object.__setattr__(self, "_sparse", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraTable is immutable")
@@ -90,25 +94,69 @@ class AlgebraTable:
         if len(x) != self.dim:
             raise DimensionMismatchError(f"element length {len(x)} differs from dim {self.dim}")
 
+    def _sparse_index(self):
+        """``index[i][j]``: the nonzero ``(k, c)`` terms of ``e_i e_j``.
+
+        Built on the first product rather than in ``__init__``, so tables
+        that are only constructed, compared or hashed never pay for it.
+        """
+        index = self._sparse
+        if index is None:
+            index = tuple(tuple(_terms(v) for v in plane) for plane in self.cube)
+            object.__setattr__(self, "_sparse", index)
+        return index
+
+    def _canonical(self, out):
+        """Accumulated coordinates as a canonical vector: residues are
+        reduced here, once per coordinate."""
+        p = self.field.p
+        return tuple(out) if p is None else tuple([c % p for c in out])
+
+    def _combine(self, pairs):
+        """Coordinates of ``sum a * v`` over ``(a, terms of v)`` pairs."""
+        out = [self.field.zero] * self.dim
+        for a, terms in pairs:
+            for k, c in terms:
+                out[k] += a * c
+        return self._canonical(out)
+
     def multiply(self, x, y):
-        """Bilinear extension of the structure cube."""
+        """Bilinear extension of the structure constants."""
         self._check_element(x)
         self._check_element(y)
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = self.cube[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cij = plane[j]
-                s = F.mul(xi, yj)
-                for k, c in enumerate(cij):
-                    if c:
-                        out[k] = F.add(out[k], F.mul(s, c))
-        return tuple(out)
+        index = self._sparse_index()
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        out = [self.field.zero] * self.dim
+        for i, a in enumerate(x):
+            if a:
+                row = index[i]
+                for j, b in ys:
+                    terms = row[j]
+                    if terms:
+                        s = a * b
+                        for k, c in terms:
+                            out[k] += s * c
+        return self._canonical(out)
+
+    def left_basis_mul(self, i, v):
+        """``e_i v``, read from the sparse index."""
+        row = self._sparse_index()[i]
+        out = [self.field.zero] * self.dim
+        for m, a in enumerate(v):
+            if a:
+                for k, c in row[m]:
+                    out[k] += a * c
+        return self._canonical(out)
+
+    def right_basis_mul(self, v, k):
+        """``v e_k``, read from the sparse index."""
+        index = self._sparse_index()
+        out = [self.field.zero] * self.dim
+        for m, a in enumerate(v):
+            if a:
+                for t, c in index[m][k]:
+                    out[t] += a * c
+        return self._canonical(out)
 
     def commutator(self, x, y):
         return vec_sub(self.field, self.multiply(x, y), self.multiply(y, x))
@@ -123,24 +171,34 @@ class AlgebraTable:
         """Matrix of right (v -> vx) or left (v -> xv) multiplication by x."""
         self._check_element(x)
         if side == "right":
-            cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
+            cols = [self.left_basis_mul(j, x) for j in range(self.dim)]
         elif side == "left":
-            cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
+            cols = [self.right_basis_mul(x, j) for j in range(self.dim)]
         else:
             raise ValueError(f"unknown side {side!r}")
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     # -- powers ------------------------------------------------------------
 
+    def left_normed_powers(self, x):
+        """Yield x^1, x^2, ... (x^n = x^{n-1} x) and stop after the first
+        zero power, since every later power is zero too."""
+        self._check_element(x)
+        p = tuple(x)
+        while True:
+            yield p
+            if vec_is_zero(p):
+                return
+            p = self.multiply(p, x)
+
     def left_normed_power(self, x, n):
         """x^1 = x, x^n = x^{n-1} x.  Rejects n = 0: no unit is assumed."""
         if n < 1:
             raise ValueError("left-normed powers start at exponent 1")
-        self._check_element(x)
-        p = tuple(x)
-        for _ in range(n - 1):
-            p = self.multiply(p, x)
-        return p
+        for e, p in enumerate(self.left_normed_powers(x), start=1):
+            if e == n:
+                return p
+        return self.zero_vector()
 
     def r_nilpotency_index(self, x):
         """Smallest n with x^n = 0, or None if x is not r-nilpotent.
@@ -149,12 +207,9 @@ class AlgebraTable:
         x, which stays inside a cyclic subspace of dimension <= dim; so some
         power vanishes iff x^(dim+1) = 0 already.
         """
-        self._check_element(x)
-        p = tuple(x)
-        for n in range(1, self.dim + 2):
+        for n, p in zip(range(1, self.dim + 2), self.left_normed_powers(x)):
             if vec_is_zero(p):
                 return n
-            p = self.multiply(p, x)
         return None
 
     def __eq__(self, other):
@@ -163,7 +218,11 @@ class AlgebraTable:
                 and other.basis_names == self.basis_names)
 
     def __hash__(self):
-        return hash((self.field, self.cube, self.basis_names))
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.cube, self.basis_names))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"AlgebraTable(dim={self.dim}, field={self.field.spec_string()})"
@@ -207,7 +266,12 @@ def verify_identity(A, kind, derivation=None):
     are immutable, so results are memoized.
     """
     n = A.dim
-    basis = A.basis_vectors()
+    index = A._sparse_index()
+
+    def times_basis(terms, k):
+        # (sum c_m e_m) e_k for the nonzero terms (m, c_m)
+        return A._combine((c, index[m][k]) for m, c in terms)
+
     if kind == "commutative":
         for i in range(n):
             for j in range(n):
@@ -222,7 +286,7 @@ def verify_identity(A, kind, derivation=None):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    a = A.associator(basis[i], basis[j], basis[k])
+                    a = _basis_associator(A, i, j, k)
                     if not vec_is_zero(a):
                         return IdentityReport(kind, False,
                                               IdentityFailure("(xy)z == x(yz)", (i, j, k),
@@ -240,8 +304,8 @@ def verify_identity(A, kind, derivation=None):
                         return IdentityReport(kind, False,
                                               IdentityFailure("(x,y,z) == (y,x,z)",
                                                               (i, j, k), lhs, rhs))
-                    lhs = A.multiply(A.cube[i][j], basis[k])
-                    rhs = A.multiply(A.cube[i][k], basis[j])
+                    lhs = times_basis(index[i][j], k)
+                    rhs = times_basis(index[i][k], j)
                     if lhs != rhs:
                         return IdentityReport(kind, False,
                                               IdentityFailure("(xy)z == (xz)y",
@@ -249,31 +313,25 @@ def verify_identity(A, kind, derivation=None):
         return IdentityReport(kind, True)
 
     if kind == "eq1":
-        assoc = _associator_cube(A)
-        F = A.field
+        assoc = [[[_terms(v) for v in plane] for plane in block]
+                 for block in _associator_cube(A)]
 
-        def assoc_of(vec, j, k):
-            out = [F.zero] * n
-            for m, a in enumerate(vec):
-                if a:
-                    row = assoc[m][j][k]
-                    for t, c in enumerate(row):
-                        if c:
-                            out[t] = F.add(out[t], F.mul(a, c))
-            return tuple(out)
+        def assoc_of(terms, j, k):
+            # (sum c_m e_m, e_j, e_k) for the nonzero terms (m, c_m)
+            return A._combine((c, assoc[m][j][k]) for m, c in terms)
 
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     aijk = assoc[i][j][k]
                     for l in range(n):
-                        lhs = A.multiply(aijk, basis[l])
-                        mid = assoc_of(A.cube[i][l], j, k)
+                        lhs = times_basis(aijk, l)
+                        mid = assoc_of(index[i][l], j, k)
                         if lhs != mid:
                             return IdentityReport(kind, False,
                                                   IdentityFailure("(x,y,z)t == (xt,y,z)",
                                                                   (i, j, k, l), lhs, mid))
-                        rhs = assoc_of(A.cube[j][l], i, k)
+                        rhs = assoc_of(index[j][l], i, k)
                         if lhs != rhs:
                             return IdentityReport(kind, False,
                                                   IdentityFailure("(x,y,z)t == (x,yt,z)",
@@ -284,14 +342,13 @@ def verify_identity(A, kind, derivation=None):
         if derivation is None:
             raise ValueError("leibniz check needs a linear map")
         _check_same_algebra(A, derivation)
-        F = A.field
-        dcols = [derivation.column(j) for j in range(n)]
+        dcols = [_terms(derivation.column(j)) for j in range(n)]
         for i in range(n):
             for j in range(n):
                 lhs = derivation.mat_vec(A.cube[i][j])
-                rhs = tuple(F.add(a, b)
-                            for a, b in zip(A.multiply(dcols[i], basis[j]),
-                                            A.multiply(basis[i], dcols[j])))
+                # d(e_i) e_j + e_i d(e_j)
+                rhs = A._combine([(c, index[m][j]) for m, c in dcols[i]]
+                                 + [(c, index[i][m]) for m, c in dcols[j]])
                 if lhs != rhs:
                     return IdentityReport(kind, False,
                                           IdentityFailure("d(xy) == d(x)y + x d(y)",
@@ -301,16 +358,23 @@ def verify_identity(A, kind, derivation=None):
     raise ValueError(f"unknown identity kind {kind!r}")
 
 
+def _terms(v):
+    """The nonzero ``(k, c)`` coordinates of a vector."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def _basis_associator(A, i, j, k):
+    """(e_i e_j) e_k - e_i (e_j e_k), read from the sparse index."""
+    index = A._sparse_index()
+    return A._combine([(c, index[m][k]) for m, c in index[i][j]]
+                      + [(-c, index[i][m]) for m, c in index[j][k]])
+
+
 def _associator_cube(A):
     n = A.dim
-    basis = A.basis_vectors()
-    return [[[A.associator(basis[i], basis[j], basis[k]) for k in range(n)]
+    return [[[_basis_associator(A, i, j, k) for k in range(n)]
              for j in range(n)] for i in range(n)]
 
 
 def is_novikov(A):
     return verify_identity(A, "novikov").ok
-
-
-def is_commutative_associative(A):
-    return verify_identity(A, "commutative").ok and verify_identity(A, "associative").ok

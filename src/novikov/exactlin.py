@@ -361,13 +361,25 @@ class Matrix:
 # canonical subspaces
 # ---------------------------------------------------------------------------
 
+def _eliminate(v, c, row):
+    """v -= c * row in place, skipping the zero entries of row."""
+    for t, b in enumerate(row):
+        if b:
+            v[t] -= c * b
+
+
 def _reduce_against(field, v, rows, pivots):
+    """Remainder of a canonical v against echelon rows; residues are
+    reduced once, at the end."""
     v = list(v)
-    for p, row in zip(pivots, rows):
-        c = v[p]
+    p = field.p
+    touched = False
+    for piv, row in zip(pivots, rows):
+        c = v[piv] if p is None else v[piv] % p
         if c:
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-    return v
+            _eliminate(v, c, row)
+            touched = True
+    return [a % p for a in v] if touched and p is not None else v
 
 
 class Subspace:
@@ -395,6 +407,7 @@ class Subspace:
         """Canonical span of the given coordinate vectors."""
         rows = []
         pivots = []
+        modulus = field.p
         for v in vectors:
             v = coerce_vector(field, v, ambient_dim)
             v = _reduce_against(field, v, rows, pivots)
@@ -403,11 +416,14 @@ class Subspace:
                 continue
             if v[p] != field.one:
                 inv = field.inv(v[p])
-                v = [field.mul(inv, a) for a in v]
-            for idx, row in enumerate(rows):
+                v = ([inv * a for a in v] if modulus is None
+                     else [inv * a % modulus for a in v])
+            for row in rows:
                 c = row[p]
                 if c:
-                    rows[idx] = [field.sub(a, field.mul(c, b)) for a, b in zip(row, v)]
+                    _eliminate(row, c, v)
+                    if modulus is not None:
+                        row[:] = [a % modulus for a in row]
             pos = bisect_left(pivots, p)
             rows.insert(pos, v)
             pivots.insert(pos, p)
@@ -445,7 +461,12 @@ class Subspace:
         return tuple(_reduce_against(self.field, v, self.rows, self.pivots))
 
     def contains(self, v):
-        return vec_is_zero(self.residual(v))
+        return self.contains_canonical(coerce_vector(self.field, v, self.ambient_dim))
+
+    def contains_canonical(self, v):
+        """:meth:`contains` for a vector of canonical scalars, such as a
+        product computed in an algebra: no coercion."""
+        return vec_is_zero(_reduce_against(self.field, v, self.rows, self.pivots))
 
     def is_subspace_of(self, other):
         self._check_ambient(other)

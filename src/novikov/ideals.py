@@ -44,9 +44,18 @@ def subspace_product(A, U, V):
 
 
 def is_ideal(A, U):
-    full = A.full_space()
-    return (subspace_product(A, full, U).is_subspace_of(U)
-            and subspace_product(A, U, full).is_subspace_of(U))
+    """True iff AU + UA lies in U: every ``e_i u`` and ``u e_i`` over U's
+    basis rows reduces to zero against U's echelon rows.  Stops at the
+    first product that does not."""
+    _check_subspace(A, U)
+    if U.is_full():
+        return True
+    for u in U.rows:
+        for i in range(A.dim):
+            if not (U.contains_canonical(A.left_basis_mul(i, u))
+                    and U.contains_canonical(A.right_basis_mul(u, i))):
+                return False
+    return True
 
 
 def ideal_closure(A, S):

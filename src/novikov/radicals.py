@@ -296,11 +296,23 @@ def quasi_inverse_lift(A, x):
 # bound certificates
 # ---------------------------------------------------------------------------
 
-def _powers_upto(A, x, n):
-    powers = [None, A.element(x)]
-    for _ in range(n - 1):
-        powers.append(A.multiply(powers[-1], x))
-    return powers
+def _power_reader(A, x):
+    """``power(s)``: x^s for non-decreasing s, read off one walk of the
+    left-normed powers of x.  The walk ends at the first zero power, so
+    past it every exponent costs nothing."""
+    walk = A.left_normed_powers(x)
+    e, p = 1, next(walk)
+
+    def power(s):
+        nonlocal e, p
+        while e < s:
+            nxt = next(walk, None)
+            if nxt is None:  # p is zero, and so is every later power
+                break
+            e, p = e + 1, nxt
+        return p
+
+    return power
 
 
 def bound_certificates(A, x, n, ideal=None, claim=None):
@@ -311,7 +323,8 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
     ``theorem1``: from x^n in I check x^{s_k} in I^[k] for s_k = 2 s_{k-1} + 2
                   until I^[k] = 0.
     The claim preconditions are enforced; the concluded membership is
-    recorded as data (``holds``) rather than raised.
+    recorded as data (``holds``) rather than raised.  Every power is read
+    from one power sequence of x.
     """
     if claim is None:
         claim = "lemma1" if ideal is None else "theorem1"
@@ -320,38 +333,37 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
     if n < 1:
         raise PreconditionError("power exponent must be at least 1")
     x = A.element(x)
+    power = _power_reader(A, x)
 
     if claim == "lemma1":
-        powers = _powers_upto(A, x, n + 1)
-        sq_n = A.multiply(powers[n], powers[n])
-        sq_n1 = A.multiply(powers[n + 1], powers[n + 1])
+        xn = power(n)
+        sq_n = A.multiply(xn, xn)
+        xn1 = power(n + 1)
+        sq_n1 = A.multiply(xn1, xn1)
         if not vec_is_zero(sq_n) or not vec_is_zero(sq_n1):
             raise PreconditionError(
                 "claim needs (x^n)^2 = 0 and (x^{n+1})^2 = 0 for the given n")
-        target = A.left_normed_power(x, 2 * n + 2)
         return Certificate("lemma1", {
             "element": tuple(x), "n": n,
             "square_power_n_zero": True,
             "square_power_n1_zero": True,
             "vanishing_exponent": 2 * n + 2,
-            "holds": vec_is_zero(target),
+            "holds": vec_is_zero(power(2 * n + 2)),
         })
 
     if ideal is None:
         raise PreconditionError(f"claim {claim} needs an ideal")
     if not is_ideal(A, ideal):
         raise NotAnIdealError("membership claims need an ideal")
-    powers = _powers_upto(A, x, max(n, 1))
-    if not ideal.contains(powers[n]):
+    if not ideal.contains(power(n)):
         raise PreconditionError("claim needs x^n in the ideal for the given n")
 
     if claim == "lemma3":
         i2 = subspace_product(A, ideal, ideal)
-        target = A.left_normed_power(x, 2 * n + 2)
         return Certificate("lemma3", {
             "element": tuple(x), "n": n, "ideal": ideal,
             "membership_exponent": 2 * n + 2,
-            "holds": i2.contains(target),
+            "holds": i2.contains(power(2 * n + 2)),
         })
 
     ichain = chain(A, "right", base=ideal)
@@ -363,7 +375,7 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
         if k > 1:
             s = 2 * s + 2
             s_sequence.append(s)
-        member = term.contains(A.left_normed_power(x, s))
+        member = term.contains(power(s))
         memberships.append({"k": k, "s_k": s, "ideal_power_dim": term.dim,
                             "holds": member})
         holds = holds and member

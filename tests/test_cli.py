@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,3 +260,19 @@ def test_run_report_direct():
     payload = json.loads(text)
     assert payload["command"] == "series"
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_certify_huge_exponent_finishes():
+    # the powers of t vanish at t^4, so exponents near 10^8 cost nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "novikov.cli", "certify", fixture_path("tpoly4"),
+         "--claim", "theorem1", "--element", "t", "--ideal", "t2",
+         "--n", "100000000", "--json"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)["certificate"]["data"]
+    assert data["holds"] is True
+    assert data["s_sequence"] == [100000000, 200000002]
