@@ -7,7 +7,7 @@ from .constructions import (adjoin_unit, direct_sum, example1_algebra,
                             truncated_poly, weighted_euler_derivation,
                             zero_algebra)
 from .core import AlgebraTable, IdentityReport, verify_identity
-from .exactlin import GF, QQ, Field, Matrix, Subspace, kernel, rank, rref_basis, solve
+from .exactlin import GF, QQ, Field, Matrix, Subspace, kernel, rank, solve
 from .ideals import (ChainReport, ClassifyReport, chain, classify,
                      commutator_ideal, ideal_closure, is_ideal, is_trivial_ideal,
                      quotient, subalgebra_generated, subspace_product)
@@ -49,7 +49,6 @@ __all__ = [
     "quotient",
     "random_commutative_pair",
     "rank",
-    "rref_basis",
     "solve",
     "subalgebra_generated",
     "subspace_product",

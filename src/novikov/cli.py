@@ -3,8 +3,10 @@ deterministic report.
 
 Reports are JSON with sorted keys and exact coefficient strings, so equal
 inputs produce byte-identical output.  Exit codes: 0 success, 1 analysis
-precondition failure, 2 parse error.  The oracle point budget can be
-overridden with the ``NOVIKOV_ORACLE_BUDGET`` environment variable.
+precondition failure, 2 parse error, 3 internal error (a broken invariant,
+reported as ``INTERNAL_ERROR`` rather than a traceback).  The oracle point
+budget can be overridden with the ``NOVIKOV_ORACLE_BUDGET`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -240,6 +242,10 @@ def run_report(doc, command, options=None):
         payload["error"] = {"code": "PARSE_ERROR", "message": exc.message,
                             "line": exc.line, "col": exc.col}
         code = 2
+    except RuntimeError as exc:  # an internal invariant failed
+        payload = _base_payload(doc, command)
+        payload["error"] = {"code": "INTERNAL_ERROR", "message": str(exc)}
+        code = 3
     return json.dumps(payload, sort_keys=True, indent=2) + "\n", code
 
 

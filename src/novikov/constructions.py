@@ -227,11 +227,18 @@ def _truncated_block(rng, size, unital, field):
     return B, truncated_poly_derivation(B, unital, f)
 
 
+def _coin(rng):
+    """A fair coin without floating point.  It draws two 32-bit words and
+    reads the top bit of the first, exactly as ``rng.random() < 1/2`` does,
+    so seeded constructions keep their values."""
+    return not rng.getrandbits(64) >> 31 & 1
+
+
 def _monomial_block(rng, k, field):
     """Square-free monomial block with generator images g_i that keep the
     square relations: any g_i supported on monomials containing x_i works."""
     B, euler = example1_algebra(k, field=field)
-    if rng.random() < 0.5:
+    if _coin(rng):
         lam = _random_scalar(rng, field, nonzero=True)
         return B, euler.scale(lam)
     dim = B.dim

@@ -382,6 +382,35 @@ def _reduce_against(field, v, rows, pivots):
     return [a % p for a in v] if touched and p is not None else v
 
 
+def echelon_insert(field, rows, pivots, v):
+    """Grow echelon ``rows``/``pivots`` in place by a canonical vector v.
+
+    Returns v's pivot-normalized remainder, now one of the rows, or None
+    when v already lies in their span.  The returned row is the stored
+    list, which later insertions back-eliminate in place; a caller that
+    keeps it must copy it.
+    """
+    v = _reduce_against(field, v, rows, pivots)
+    p = next((i for i, a in enumerate(v) if a), None)
+    if p is None:
+        return None
+    modulus = field.p
+    if v[p] != field.one:
+        inv = field.inv(v[p])
+        v = ([inv * a for a in v] if modulus is None
+             else [inv * a % modulus for a in v])
+    for row in rows:
+        c = row[p]
+        if c:
+            _eliminate(row, c, v)
+            if modulus is not None:
+                row[:] = [a % modulus for a in row]
+    pos = bisect_left(pivots, p)
+    rows.insert(pos, v)
+    pivots.insert(pos, p)
+    return v
+
+
 class Subspace:
     """Subspace of ``field^ambient_dim`` held as a reduced row-echelon basis.
 
@@ -407,26 +436,8 @@ class Subspace:
         """Canonical span of the given coordinate vectors."""
         rows = []
         pivots = []
-        modulus = field.p
         for v in vectors:
-            v = coerce_vector(field, v, ambient_dim)
-            v = _reduce_against(field, v, rows, pivots)
-            p = next((i for i, a in enumerate(v) if a), None)
-            if p is None:
-                continue
-            if v[p] != field.one:
-                inv = field.inv(v[p])
-                v = ([inv * a for a in v] if modulus is None
-                     else [inv * a % modulus for a in v])
-            for row in rows:
-                c = row[p]
-                if c:
-                    _eliminate(row, c, v)
-                    if modulus is not None:
-                        row[:] = [a % modulus for a in row]
-            pos = bisect_left(pivots, p)
-            rows.insert(pos, v)
-            pivots.insert(pos, p)
+            echelon_insert(field, rows, pivots, coerce_vector(field, v, ambient_dim))
         return cls(field, ambient_dim, rows, pivots)
 
     @classmethod
@@ -513,19 +524,17 @@ class Subspace:
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim}, rows={rows})"
 
 
-def rref_basis(field, vectors, ambient_dim):
-    """Canonical span; module-level alias of :meth:`Subspace.span`."""
-    return Subspace.span(field, vectors, ambient_dim)
-
-
 # ---------------------------------------------------------------------------
 # solving and kernels
 # ---------------------------------------------------------------------------
 
 def _row_reduce(field, rows, pivot_limit):
     """Gauss-Jordan on a list of row lists; pivots only in the first
-    ``pivot_limit`` columns.  Returns (rows, pivot_columns)."""
+    ``pivot_limit`` columns.  Returns (rows, pivot_columns).  Residues are
+    reduced once per eliminated row, so every entry is canonical between
+    pivot steps."""
     work = [list(r) for r in rows]
+    modulus = field.p
     pivots = []
     r = 0
     for c in range(pivot_limit):
@@ -533,13 +542,17 @@ def _row_reduce(field, rows, pivot_limit):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        if work[r][c] != field.one:
-            inv = field.inv(work[r][c])
-            work[r] = [field.mul(inv, a) for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[r])]
+        row = work[r]
+        if row[c] != field.one:
+            inv = field.inv(row[c])
+            row = work[r] = ([inv * a for a in row] if modulus is None
+                             else [inv * a % modulus for a in row])
+        for i, other in enumerate(work):
+            f = other[c]
+            if f and i != r:
+                _eliminate(other, f, row)
+                if modulus is not None:
+                    other[:] = [a % modulus for a in other]
         pivots.append(c)
         r += 1
     return work, pivots

@@ -13,7 +13,7 @@ from functools import lru_cache
 from .core import AlgebraTable
 from .errors import (DimensionMismatchError, FieldMismatchError, NotAnIdealError,
                      PreconditionError)
-from .exactlin import Matrix, Subspace, vec_is_zero
+from .exactlin import Matrix, Subspace, echelon_insert
 
 CHAIN_KINDS = ("right", "derived", "lie", "full")
 
@@ -25,6 +25,19 @@ def _check_subspace(A, U):
         raise DimensionMismatchError("subspace ambient dimension differs from algebra")
 
 
+def _product_span(A, pairs):
+    """Span of ``{u v : u in U basis, v in V basis}`` over the ``(U, V)``
+    pairs, each product fed straight into the echelon rows; a repeated or
+    dependent product reduces to zero there."""
+    F = A.field
+    rows, pivots = [], []
+    for U, V in pairs:
+        for u in U.rows:
+            for v in V.rows:
+                echelon_insert(F, rows, pivots, A.multiply(u, v))
+    return Subspace(F, A.dim, rows, pivots)
+
+
 def subspace_product(A, U, V):
     """Span of ``{u v : u in U basis, v in V basis}``.
 
@@ -32,15 +45,7 @@ def subspace_product(A, U, V):
     """
     _check_subspace(A, U)
     _check_subspace(A, V)
-    seen = set()
-    vecs = []
-    for u in U.rows:
-        for v in V.rows:
-            w = A.multiply(u, v)
-            if not vec_is_zero(w) and w not in seen:
-                seen.add(w)
-                vecs.append(w)
-    return Subspace.span(A.field, vecs, A.dim)
+    return _product_span(A, ((U, V),))
 
 
 def is_ideal(A, U):
@@ -58,26 +63,59 @@ def is_ideal(A, U):
     return True
 
 
+def _grow(A, rows, pivots, queue, products):
+    """Drain a worklist of spanning vectors: ``products(u)`` yields the
+    products of a popped vector u, each is inserted into the echelon rows,
+    and every new remainder is queued in turn.  Remainders are queued as
+    tuples: later insertions back-eliminate the stored rows in place, and a
+    queued vector should not change before it is read.
+    """
+    F = A.field
+    while queue and len(rows) < A.dim:
+        for w in products(queue.pop()):
+            r = echelon_insert(F, rows, pivots, w)
+            if r is not None:
+                queue.append(tuple(r))
+    return Subspace(F, A.dim, rows, pivots)
+
+
 def ideal_closure(A, S):
-    """Smallest ideal containing S: iterate U <- U + AU + UA to a fixed point."""
+    """Smallest ideal containing S.
+
+    Starting from S's rows, every new echelon remainder u is multiplied
+    once by each e_i on both sides.  The rows span exactly the vectors
+    queued so far, and every product of a queued vector is inserted, so
+    once the queue is empty their span contains AU + UA.
+    """
     _check_subspace(A, S)
-    full = A.full_space()
-    U = S
-    while True:
-        W = U.sum(subspace_product(A, full, U)).sum(subspace_product(A, U, full))
-        if W == U:
-            return U
-        U = W
+
+    def products(u):
+        for i in range(A.dim):
+            yield A.left_basis_mul(i, u)
+            yield A.right_basis_mul(u, i)
+
+    return _grow(A, [list(r) for r in S.rows], list(S.pivots), list(S.rows), products)
 
 
 def subalgebra_generated(A, elements):
-    """Smallest multiplication-closed subspace containing the elements."""
-    U = Subspace.span(A.field, [A.element(x) for x in elements], A.dim)
-    while True:
-        W = U.sum(subspace_product(A, U, U))
-        if W == U:
-            return U
-        U = W
+    """Smallest multiplication-closed subspace containing the elements:
+    every new echelon remainder u is multiplied on both sides by each
+    remainder taken from the worklist so far, u included."""
+    F = A.field
+    rows, pivots, queue = [], [], []
+    for x in elements:
+        r = echelon_insert(F, rows, pivots, A.element(x))
+        if r is not None:
+            queue.append(tuple(r))
+    taken = []
+
+    def products(u):
+        taken.append(u)
+        for v in taken:
+            yield A.multiply(u, v)
+            yield A.multiply(v, u)
+
+    return _grow(A, rows, pivots, queue, products)
 
 
 @lru_cache(maxsize=1024)
@@ -181,7 +219,7 @@ def _full_chain(A, base):
     """
     L = base
     while True:
-        nL = subspace_product(A, L, base).sum(subspace_product(A, base, L))
+        nL = _product_span(A, ((L, base), (base, L)))
         if nL == L:
             break
         L = nL
@@ -189,10 +227,8 @@ def _full_chain(A, base):
     terms = [base]
     while terms[-1] != limit:
         k1 = len(terms) + 1
-        nxt = Subspace.zero(A.field, A.dim)
-        for i in range(1, k1):
-            nxt = nxt.sum(subspace_product(A, terms[i - 1], terms[k1 - i - 1]))
-        terms.append(nxt)
+        terms.append(_product_span(
+            A, [(terms[i - 1], terms[k1 - i - 1]) for i in range(1, k1)]))
     index = len(terms) if limit.is_zero() else None
     return ChainReport("full", tuple(terms), True, index)
 

@@ -16,19 +16,23 @@ from functools import lru_cache
 
 from .constructions import adjoin_unit
 from .core import verify_identity
-from .errors import (CharTwoError, NotAnIdealError, NotCommutativeAssociativeError,
-                     NotLieSolvableError, PreconditionError,
-                     SmallCharacteristicError, WorkbenchError)
+from .errors import (BudgetExceededError, CharTwoError, NotAnIdealError,
+                     NotCommutativeAssociativeError, NotLieSolvableError,
+                     PreconditionError, SmallCharacteristicError, WorkbenchError)
 from .exactlin import (Matrix, Subspace, kernel, vec_add, vec_is_zero, vec_neg,
                        vec_scale, vec_sub)
 from .exactlin import solve as lin_solve
-from .ideals import (chain, classify, commutator_ideal, is_ideal,
+from .ideals import (chain, commutator_ideal, is_ideal,
                      preimage_under_quotient, quotient, quotient_section,
                      subspace_product)
 
 CLAIM_TAGS = ("lemma1", "lemma3", "theorem1", "lifting", "quasireg", "tower")
 
 _SAMPLE_SEED = 20417  # fixed so reports and golden files are reproducible
+
+# Largest exponent a bound certificate may ask of an element that is not
+# r-nilpotent: its powers never vanish, so reaching x^s costs s - 1 products.
+MAX_POWER_EXPONENT = 1 << 16
 
 
 @dataclass
@@ -112,10 +116,8 @@ def _require_radical_preconditions(A):
         raise PreconditionError(
             f"input is not a Novikov algebra: {rep.failure.law} fails at "
             f"{rep.failure.indices}")
-    cls = classify(A)
-    if cls.lie_solvable is None:
+    if chain(A, "lie").index is None:
         raise NotLieSolvableError("radical route requires a Lie-solvable algebra")
-    return cls
 
 
 def _commutative_quotient(A):
@@ -299,13 +301,19 @@ def quasi_inverse_lift(A, x):
 def _power_reader(A, x):
     """``power(s)``: x^s for non-decreasing s, read off one walk of the
     left-normed powers of x.  The walk ends at the first zero power, so
-    past it every exponent costs nothing."""
+    past it every exponent costs nothing.  Once it has passed x^(dim+1)
+    without a zero power, x is not r-nilpotent, and an exponent above
+    ``MAX_POWER_EXPONENT`` raises :class:`BudgetExceededError`."""
     walk = A.left_normed_powers(x)
     e, p = 1, next(walk)
 
     def power(s):
         nonlocal e, p
         while e < s:
+            if e > A.dim + 1 and s > MAX_POWER_EXPONENT:
+                raise BudgetExceededError(
+                    f"x^{s} of an element that is not r-nilpotent exceeds the "
+                    f"exponent budget {MAX_POWER_EXPONENT}")
             nxt = next(walk, None)
             if nxt is None:  # p is zero, and so is every later power
                 break

@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import CarrierMembershipError
 
-NEG_INF = float("-inf")  # degree of the zero polynomial
-
 
 class Poly:
     """Polynomial over the rationals; ascending coefficients, no trailing zeros."""
@@ -33,7 +31,8 @@ class Poly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        """Exact degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def is_zero(self):
         return not self.coeffs
@@ -312,7 +311,7 @@ def right_qr_residual(f, g):
         pred_coeff = -(n - m) * alpha * beta
         pred_exp = n + m + 1
     actual_coeff = r.leading if not r.is_zero() else Fraction(0)
-    actual_exp = r.degree if not r.is_zero() else -1
+    actual_exp = r.degree
     report = CaseReport(
         case=case, num_degree=n, den_degree=m,
         predicted_coeff=pred_coeff, predicted_exponent=pred_exp,

@@ -276,3 +276,39 @@ def test_certify_huge_exponent_finishes():
     data = json.loads(proc.stdout)["certificate"]["data"]
     assert data["holds"] is True
     assert data["s_sequence"] == [100000000, 200000002]
+
+
+def test_certify_huge_exponent_of_a_non_nilpotent_element_is_refused():
+    # every power of the unit is the unit, so no power ever vanishes and the
+    # walk would run to 10^8; past x^(dim+1) the exponent budget refuses it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "novikov.cli", "certify", fixture_path("tpoly3u"),
+         "--claim", "theorem1", "--element", "one", "--ideal", "one",
+         "--n", "100000000", "--json"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "BUDGET_EXCEEDED"
+    assert "not r-nilpotent" in error["message"]
+
+
+def test_internal_error_is_a_coded_report(monkeypatch, capsys):
+    from novikov import cli
+
+    def broken(doc, options):
+        raise RuntimeError("lifting failed to terminate")
+
+    monkeypatch.setitem(cli._COMMANDS, "series", broken)
+    code, out = run_cli(["series", fixture_path("a2"), "--kind", "right", "--json"],
+                        capsys)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == {"code": "INTERNAL_ERROR",
+                                "message": "lifting failed to terminate"}
+    assert payload["command"] == "series"
+    code, out = run_cli(["series", fixture_path("a2"), "--kind", "right"], capsys)
+    assert code == 3
+    assert "INTERNAL_ERROR" in out

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novikov.errors import DimensionMismatchError, FieldMismatchError
-from novikov.exactlin import (GF, QQ, Matrix, Subspace, kernel, rank,
-                              rref_basis, solve)
+from novikov.exactlin import GF, QQ, Matrix, Subspace, kernel, rank, solve
 
 F3 = GF(3)
 
@@ -47,34 +46,34 @@ def test_field_coercion_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# rref_basis
+# Subspace.span
 # ---------------------------------------------------------------------------
 
 def test_span_identity_case():
-    S = rref_basis(QQ, [(1, 0), (0, 1)], 2)
+    S = Subspace.span(QQ, [(1, 0), (0, 1)], 2)
     assert S == Subspace.full(QQ, 2)
     assert S.dim == 2
 
 
 def test_span_dependent_vectors():
-    S = rref_basis(QQ, [(1, 1), (2, 2)], 2)
+    S = Subspace.span(QQ, [(1, 1), (2, 2)], 2)
     assert S.rows == ((Fraction(1), Fraction(1)),)
 
 
 def test_span_empty():
-    S = rref_basis(QQ, [], 2)
+    S = Subspace.span(QQ, [], 2)
     assert S.is_zero() and S.dim == 0
 
 
 def test_span_idempotent():
-    S = rref_basis(QQ, [(2, 4, 6), (1, 1, 1), (0, 3, 6)], 3)
-    again = rref_basis(QQ, S.rows, 3)
+    S = Subspace.span(QQ, [(2, 4, 6), (1, 1, 1), (0, 3, 6)], 3)
+    again = Subspace.span(QQ, S.rows, 3)
     assert again == S
 
 
 def test_span_ambient_mismatch():
     with pytest.raises(DimensionMismatchError):
-        rref_basis(QQ, [(1, 0, 0)], 2)
+        Subspace.span(QQ, [(1, 0, 0)], 2)
 
 
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -92,7 +91,7 @@ def vector_sets(draw, max_dim=4, max_count=5):
 @given(vector_sets(), st.randoms(use_true_random=False))
 def test_span_canonical_under_permutation_and_scaling(data, rnd):
     dim, vecs = data
-    S = rref_basis(QQ, vecs, dim)
+    S = Subspace.span(QQ, vecs, dim)
     shuffled = list(vecs)
     rnd.shuffle(shuffled)
     scaled = []
@@ -101,7 +100,7 @@ def test_span_canonical_under_permutation_and_scaling(data, rnd):
         if rnd.random() < 0.5:
             c = -c
         scaled.append(tuple(c * a for a in v))
-    assert rref_basis(QQ, scaled, dim) == S
+    assert Subspace.span(QQ, scaled, dim) == S
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +191,29 @@ def test_kernel_vectors_annihilate(M):
 # ---------------------------------------------------------------------------
 
 def test_sum_of_axes_is_full():
-    U = rref_basis(QQ, [(1, 0)], 2)
-    V = rref_basis(QQ, [(0, 1)], 2)
+    U = Subspace.span(QQ, [(1, 0)], 2)
+    V = Subspace.span(QQ, [(0, 1)], 2)
     assert U.sum(V) == Subspace.full(QQ, 2)
 
 
 def test_intersect_of_axes_is_zero():
-    U = rref_basis(QQ, [(1, 0)], 2)
-    V = rref_basis(QQ, [(0, 1)], 2)
+    U = Subspace.span(QQ, [(1, 0)], 2)
+    V = Subspace.span(QQ, [(0, 1)], 2)
     assert U.intersect(V).is_zero()
 
 
 def test_contains_scaled_vector():
-    U = rref_basis(QQ, [(1, 1)], 2)
+    U = Subspace.span(QQ, [(1, 1)], 2)
     assert U.contains((2, 2))
     assert not U.contains((1, 2))
 
 
 def test_lattice_ambient_mismatch():
-    U = rref_basis(QQ, [(1, 0)], 2)
-    V = rref_basis(QQ, [(1, 0, 0)], 3)
+    U = Subspace.span(QQ, [(1, 0)], 2)
+    V = Subspace.span(QQ, [(1, 0, 0)], 3)
     with pytest.raises(DimensionMismatchError):
         U.sum(V)
-    W = rref_basis(F3, [(1, 0)], 2)
+    W = Subspace.span(F3, [(1, 0)], 2)
     with pytest.raises(FieldMismatchError):
         U.intersect(W)
 
@@ -224,8 +223,8 @@ def test_lattice_ambient_mismatch():
 def test_dimension_formula(data, extra):
     dim, vecs = data
     cut = extra.draw(st.integers(0, len(vecs)))
-    U = rref_basis(QQ, vecs[:cut], dim)
-    V = rref_basis(QQ, vecs[cut:], dim)
+    U = Subspace.span(QQ, vecs[:cut], dim)
+    V = Subspace.span(QQ, vecs[cut:], dim)
     S = U.sum(V)
     I = U.intersect(V)
     assert U.dim + V.dim == S.dim + I.dim
@@ -234,8 +233,8 @@ def test_dimension_formula(data, extra):
 
 
 def test_subspace_set_equality_is_structural():
-    U = rref_basis(QQ, [(1, 2), (0, 1)], 2)
-    V = rref_basis(QQ, [(3, 1), (1, 5)], 2)
+    U = Subspace.span(QQ, [(1, 2), (0, 1)], 2)
+    V = Subspace.span(QQ, [(3, 1), (1, 5)], 2)
     assert U == V  # both are the full plane, identical echelon bases
     assert U.rows == V.rows
 

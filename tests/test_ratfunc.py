@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novikov.errors import CarrierMembershipError
-from novikov.ratfunc import (NEG_INF, P_ONE, P_X, P_ZERO, RF_X, CaseReport, Poly,
+from novikov.ratfunc import (P_ONE, P_X, P_ZERO, RF_X, CaseReport, Poly,
                              RatFunc, gd_power, gd_product, in_carrier,
                              left_quasi_inverse, rf_derivation, right_qr_residual)
 
@@ -24,7 +24,7 @@ def test_poly_canonical_form():
     p = Poly([1, 2, 0, 0])
     assert p.coeffs == (Fraction(1), Fraction(2))
     assert p.degree == 1
-    assert Poly([]).degree == NEG_INF
+    assert Poly([]).degree == -1
     assert Poly([0, 0]).is_zero()
 
 

@@ -1,8 +1,9 @@
 """The sparse arithmetic core against dense references written here.
 
-``multiply``, ``is_ideal``, the failure reports of ``verify_identity`` and
-the bound certificates are each compared with a plain dense computation
-over QQ, GF(3) and GF(5).
+``multiply``, ``is_ideal``, the failure reports of ``verify_identity``, the
+bound certificates, echelon spans, subspace products, ideal closures,
+generated subalgebras and ``solve``/``kernel``/``rank`` are each compared
+with a plain dense or round-based computation over QQ, GF(3) and GF(5).
 """
 
 from fractions import Fraction
@@ -12,16 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import a2, field_algebra
-from novikov import GF, QQ, AlgebraTable, Subspace
-from novikov import radicals
+from novikov import GF, QQ, AlgebraTable, Matrix, Subspace
+from novikov import ideals, radicals
 from novikov.constructions import (direct_sum, gd_construct, split_idempotents,
                                    truncated_poly, truncated_poly_derivation,
-                                   weighted_euler_derivation)
+                                   weighted_euler_derivation, zero_algebra)
 from novikov.core import IdentityFailure, verify_identity
-from novikov.errors import (DimensionMismatchError, FieldMismatchError,
+from novikov.errors import (BudgetExceededError, DimensionMismatchError,
+                            FieldMismatchError, NotLieSolvableError,
                             WorkbenchError)
-from novikov.ideals import ideal_closure, is_ideal
-from novikov.radicals import bound_certificates, check_certificate
+from novikov.exactlin import kernel, rank, solve
+from novikov.ideals import (ideal_closure, is_ideal, subalgebra_generated,
+                            subspace_product)
+from novikov.radicals import (baer_radical, bound_certificates, check_certificate,
+                              lqr_radical, quasi_inverse_lift)
 
 FIELDS = (QQ, GF(3), GF(5))
 
@@ -470,3 +475,259 @@ def test_check_certificate_rederives_from_a_fresh_walk(monkeypatch):
     assert calls == {"bound": 1, "walks": 1}
     tampered = radicals.Certificate("theorem1", dict(cert.data, s_sequence=[1, 4, 11]))
     assert not check_certificate(A, tampered)
+
+
+# ---------------------------------------------------------------------------
+# echelon insertion: spans, products, closures, solving
+# ---------------------------------------------------------------------------
+
+def ref_row_reduce(F, rows, pivot_limit):
+    """Textbook Gauss-Jordan through the field's own methods:
+    (rows, pivot columns)."""
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(pivot_limit):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != F.zero), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = F.inv(work[r][c])
+        work[r] = [F.mul(inv, a) for a in work[r]]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != r and f != F.zero:
+                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def ref_span(F, vectors, n):
+    """Reduced row-echelon rows of the span, as ``Subspace.rows`` holds them."""
+    work, pivots = ref_row_reduce(F, [[F.coerce(a) for a in v] for v in vectors], n)
+    return tuple(tuple(r) for r in work[:len(pivots)])
+
+
+def round_closure(A, S):
+    """Ideal closure by rounds: U <- U + AU + UA until nothing changes."""
+    e = A.basis_vectors()
+    rows = S.rows
+    while True:
+        vecs = (list(rows) + [dense_multiply(A, x, u) for x in e for u in rows]
+                + [dense_multiply(A, u, x) for x in e for u in rows])
+        nxt = ref_span(A.field, vecs, A.dim)
+        if nxt == rows:
+            return rows
+        rows = nxt
+
+
+def round_subalgebra(A, elements):
+    """Generated subalgebra by rounds: U <- U + UU until nothing changes."""
+    rows = ref_span(A.field, elements, A.dim)
+    while True:
+        vecs = list(rows) + [dense_multiply(A, u, v) for u in rows for v in rows]
+        nxt = ref_span(A.field, vecs, A.dim)
+        if nxt == rows:
+            return rows
+        rows = nxt
+
+
+@st.composite
+def generators(draw, A):
+    """Zero, one-vector, random or full generating sets."""
+    F, n = A.field, A.dim
+    choice = draw(st.sampled_from(("zero", "one", "random", "full")))
+    if choice == "zero":
+        return draw(st.sampled_from(([], [A.zero_vector()])))
+    if choice == "one":
+        return [draw(vectors(F, n))]
+    if choice == "random":
+        return draw(st.lists(vectors(F, n), max_size=n + 1))
+    return list(reversed(A.basis_vectors()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_span_matches_reference_gauss_jordan(data):
+    A = data.draw(tables(max_dim=5))
+    gens = data.draw(generators(A))
+    S = Subspace.span(A.field, gens, A.dim)
+    assert S.rows == ref_span(A.field, gens, A.dim)
+    assert all(canonical_types(A.field, r) for r in S.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ideal_closure_matches_round_reference(data):
+    A = data.draw(tables(max_dim=5))
+    S = Subspace.span(A.field, data.draw(generators(A)), A.dim)
+    got = ideal_closure(A, S)
+    assert got.rows == round_closure(A, S)
+    assert S.is_subspace_of(got) and is_ideal(A, got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subalgebra_generated_matches_round_reference(data):
+    A = data.draw(tables(max_dim=5))
+    gens = data.draw(generators(A))
+    assert subalgebra_generated(A, gens).rows == round_subalgebra(A, gens)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_closures_of_one_generator_need_both_sides(F):
+    # e1 e2 = e3 and e3 e1 = e4: the ideal of e2 needs a left product and
+    # then a right one, the subalgebra of e1, e2 the same
+    A = AlgebraTable.from_products(F, 4, {(0, 1): (0, 0, 1, 0), (2, 0): (0, 0, 0, 1)})
+    e1, e2, e3, e4 = A.basis_vectors()
+    S = Subspace.span(F, [e2], 4)
+    assert ideal_closure(A, S) == Subspace.span(F, [e2, e3, e4], 4)
+    assert ideal_closure(A, S).rows == round_closure(A, S)
+    assert subalgebra_generated(A, [e1, e2]) == A.full_space()
+    assert subalgebra_generated(A, [e2, e1]).rows == round_subalgebra(A, [e2, e1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_subspace_product_matches_dense_span(data):
+    A = data.draw(tables(max_dim=5))
+    U = data.draw(subspaces(A))
+    V = data.draw(subspaces(A))
+    want = ref_span(A.field, [dense_multiply(A, u, v) for u in U.rows for v in V.rows],
+                    A.dim)
+    assert subspace_product(A, U, V).rows == want
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_subspace_product_with_duplicate_and_zero_products(F):
+    # commutative: t^a t^b = t^b t^a repeats every product, and t^a t^b = 0
+    # once a + b >= 5; the zero algebra has only zero products
+    A = truncated_poly(5, field=F)
+    full = A.full_space()
+    want = ref_span(F, [dense_multiply(A, u, v) for u in full.rows for v in full.rows],
+                    A.dim)
+    assert subspace_product(A, full, full).rows == want
+    assert subspace_product(A, full, full) == Subspace.span(F, A.basis_vectors()[1:], 4)
+    top = Subspace.span(F, [A.basis_vector(3)], 4)
+    assert subspace_product(A, top, full).is_zero()
+    Z = zero_algebra(3, field=F)
+    assert subspace_product(Z, Z.full_space(), Z.full_space()).is_zero()
+
+
+@st.composite
+def linear_systems(draw):
+    F = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(0, 4))
+    rows = [draw(st.tuples(*[scalars(F)] * ncols)) for _ in range(nrows)]
+    b = draw(st.tuples(*[scalars(F)] * nrows))
+    return Matrix(F, rows, ncols=ncols), b
+
+
+def ref_solve(M, b):
+    F = M.field
+    work, pivots = ref_row_reduce(F, [list(r) + [c] for r, c in zip(M.rows, b)],
+                                  M.ncols)
+    if any(row[M.ncols] != F.zero for row in work[len(pivots):]):
+        return None
+    y = [F.zero] * M.ncols
+    for i, p in enumerate(pivots):
+        y[p] = work[i][M.ncols]
+    return tuple(y)
+
+
+def ref_kernel(M):
+    F = M.field
+    work, pivots = ref_row_reduce(F, M.rows, M.ncols)
+    basis = []
+    for free in range(M.ncols):
+        if free not in pivots:
+            v = [F.zero] * M.ncols
+            v[free] = F.one
+            for i, p in enumerate(pivots):
+                v[p] = F.neg(work[i][free])
+            basis.append(v)
+    return ref_span(F, basis, M.ncols), len(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_kernel_rank_match_reference_gauss_jordan(system):
+    M, b = system
+    F = M.field
+    y = solve(M, b)
+    assert y == ref_solve(M, b)
+    if y is not None:
+        assert canonical_types(F, y)
+    K = kernel(M)
+    want_kernel, want_rank = ref_kernel(M)
+    assert K.rows == want_kernel
+    assert rank(M) == want_rank
+    assert all(canonical_types(F, r) for r in K.rows)
+
+
+def non_lie_solvable_algebra():
+    """Over GF(5), x . y = x d(y) on F[t]/(t^5) with d = d/dt: a simple
+    noncommutative Novikov algebra, whose commutator chain never vanishes."""
+    F = GF(5)
+    B = truncated_poly(5, unital=True, field=F)
+    cols = []
+    for k in range(5):  # d/dt: t^k -> k t^{k-1}
+        col = [F.zero] * 5
+        if k:
+            col[k - 1] = F.of_int(k)
+        cols.append(tuple(col))
+    return gd_construct(B, Matrix.from_columns(F, cols, nrows=5))
+
+
+def test_radical_routes_reject_a_non_lie_solvable_algebra():
+    A = non_lie_solvable_algebra()
+    assert verify_identity(A, "novikov").ok
+    for route in (baer_radical, lqr_radical,
+                  lambda A: quasi_inverse_lift(A, A.basis_vector(1))):
+        with pytest.raises(NotLieSolvableError):
+            route(A)
+
+
+def test_radical_preconditions_read_the_lie_chain_only(monkeypatch):
+    calls = {"classify": 0}
+    classify = ideals.classify
+
+    def counted(A):
+        calls["classify"] += 1
+        return classify(A)
+
+    monkeypatch.setattr(ideals, "classify", counted)
+    monkeypatch.setattr(radicals, "classify", counted, raising=False)
+    before = classify.cache_info()
+    B = truncated_poly(4, field=GF(5))
+    A = gd_construct(B, weighted_euler_derivation(B, [1, 2, 3]))
+    assert radicals._require_radical_preconditions(A) is None
+    baer_radical(A)
+    lqr_radical(A)
+    quasi_inverse_lift(A, A.basis_vector(0))
+    with pytest.raises(NotLieSolvableError):
+        radicals._require_radical_preconditions(non_lie_solvable_algebra())
+    after = classify.cache_info()
+    assert calls["classify"] == 0
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_exponent_budget_applies_to_elements_that_are_not_r_nilpotent():
+    # e e = e: every power of e is e, so x^n is reached only by walking
+    A = field_algebra(field=GF(5))
+    e = A.basis_vector(0)
+    full = A.full_space()
+    cap = radicals.MAX_POWER_EXPONENT
+    cert = bound_certificates(A, e, cap, ideal=full, claim="theorem1")
+    assert cert.data["s_sequence"] == [cap] and cert.data["holds"]
+    with pytest.raises(BudgetExceededError):
+        bound_certificates(A, e, cap + 1, ideal=full, claim="theorem1")
+    tampered = radicals.Certificate("theorem1", dict(cert.data, n=cap + 1))
+    assert not check_certificate(A, tampered)
+    # a nilpotent element answers any exponent
+    B = a2(field=GF(5))
+    cert = bound_certificates(B, B.basis_vector(0), 10 ** 9, ideal=B.full_space(),
+                              claim="theorem1")
+    assert cert.data["holds"]
