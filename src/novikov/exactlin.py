@@ -481,7 +481,7 @@ class Subspace:
 
     def is_subspace_of(self, other):
         self._check_ambient(other)
-        return all(other.contains(r) for r in self.rows)
+        return all(other.contains_canonical(r) for r in self.rows)
 
     def sum(self, other):
         self._check_ambient(other)

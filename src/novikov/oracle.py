@@ -2,18 +2,24 @@
 
 Everything here is exhaustive within an explicit point budget (the number
 of vectors p^dim); exceeding the budget is a hard error, never a silent
-truncation.  Enumeration orders are deterministic, so downstream reports
-are byte-reproducible.
+truncation, and it is raised before anything is enumerated.  Enumeration
+orders are deterministic, so downstream reports are byte-reproducible.
+
+Every ideal-based answer is read off one lattice: :func:`enumerate_ideals`
+filters the subspaces of A once per (algebra, budget) and memoizes the
+result.  The Baer tower walks that list through the correspondence
+theorem, and both quotient intersections iterate the same list.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .core import verify_identity
 from .errors import BudgetExceededError, WorkbenchError
 from .exactlin import Subspace, vec_is_zero
-from .ideals import is_ideal, is_trivial_ideal, preimage_under_quotient, quotient
+from .ideals import is_ideal, quotient, subspace_product
 
 DEFAULT_BUDGET = 81  # 3^4 coordinate vectors
 
@@ -66,9 +72,17 @@ def enumerate_subspaces(field, dim, budget=None):
                 yield Subspace(field, dim, rows, pivots)
 
 
+@lru_cache(maxsize=256)
 def enumerate_ideals(A, budget=None):
-    return [S for S in enumerate_subspaces(A.field, A.dim, budget)
-            if is_ideal(A, S)]
+    """Every ideal of A, in the order of :func:`enumerate_subspaces`.
+
+    Memoized per ``(A, budget)``; the tuple keeps the shared lattice safe
+    from callers.  The oracle's own callers pass the budget resolved by
+    :func:`_check_budget`, so they share one entry per algebra.
+    """
+    _check_budget(A.field, A.dim, budget)
+    return tuple(S for S in enumerate_subspaces(A.field, A.dim, budget)
+                 if is_ideal(A, S))
 
 
 def power_iteration_index(A, x, max_exponent):
@@ -90,25 +104,28 @@ def bruteforce_nilpotents(A, budget=None):
     return out
 
 
-def sum_of_trivial_ideals(A, budget=None):
-    total = Subspace.zero(A.field, A.dim)
-    for S in enumerate_subspaces(A.field, A.dim, budget):
-        if is_trivial_ideal(A, S):
-            total = total.sum(S)
-    return total
-
-
 def bruteforce_baer_tower(A, budget=None):
     """The radical tower by definition: stage one is the sum of all trivial
-    ideals, later stages pull the same construction back through quotients
-    until the tower stabilizes (at most dim steps in finite dimension)."""
-    _check_budget(A.field, A.dim, budget)
+    ideals, and each later stage is the preimage of the sum of all trivial
+    ideals of A/J, J the stage before, until the tower stabilizes (at most
+    dim steps in finite dimension).
+
+    Every stage is read off the ideal lattice of A.  By the correspondence
+    theorem an ideal of A/J is I/J for an ideal I of A that contains J,
+    and I/J is trivial exactly when I I lies in J; the preimage of their
+    sum is the sum of those I.  An I already inside the running sum adds
+    nothing and is skipped.
+    """
+    budget = _check_budget(A.field, A.dim, budget)
+    ideals = enumerate_ideals(A, budget)
     tower = []
     current = Subspace.zero(A.field, A.dim)
     while True:
-        Q, _proj = quotient(A, current)
-        stage = sum_of_trivial_ideals(Q, budget)
-        nxt = preimage_under_quotient(A, current, stage)
+        nxt = current
+        for I in ideals:
+            if (current.is_subspace_of(I) and not I.is_subspace_of(nxt)
+                    and subspace_product(A, I, I).is_subspace_of(current)):
+                nxt = nxt.sum(I)
         if nxt == current:
             break
         tower.append(nxt)
@@ -164,10 +181,15 @@ def _is_field_algebra(Q, budget):
 
 def quotient_intersection(A, kind, budget=None):
     """Intersection of all ideals whose quotient is an integral domain or a
-    field; the full space when no ideal qualifies."""
+    field; the full space when no ideal qualifies.
+
+    Iterates the memoized ideal lattice, so the domain and field
+    intersections of one algebra share one enumeration and their
+    quotients.
+    """
     if kind not in ("domain", "field"):
         raise ValueError(f"unknown quotient kind {kind!r}")
-    _check_budget(A.field, A.dim, budget)
+    budget = _check_budget(A.field, A.dim, budget)
     test = _is_integral_domain if kind == "domain" else _is_field_algebra
     result = Subspace.full(A.field, A.dim)
     for I in enumerate_ideals(A, budget):

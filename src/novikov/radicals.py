@@ -323,6 +323,14 @@ def _power_reader(A, x):
     return power
 
 
+@lru_cache(maxsize=1024)
+def _cached_is_ideal(A, U):
+    """:func:`is_ideal` for the bound certificates' precondition: one report
+    certifies many elements against the same few ideals, and
+    :func:`check_certificate` re-derives each certificate."""
+    return is_ideal(A, U)
+
+
 def bound_certificates(A, x, n, ideal=None, claim=None):
     """Certificate for one power-bound claim.
 
@@ -361,7 +369,7 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
 
     if ideal is None:
         raise PreconditionError(f"claim {claim} needs an ideal")
-    if not is_ideal(A, ideal):
+    if not _cached_is_ideal(A, ideal):
         raise NotAnIdealError("membership claims need an ideal")
     if not ideal.contains(power(n)):
         raise PreconditionError("claim needs x^n in the ideal for the given n")

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import a2, field_algebra, gf2_commutative_population, gf3_population
-from novikov import GF, QQ, AlgebraTable, Subspace
+from novikov import GF, QQ, AlgebraTable, Subspace, oracle
 from novikov.constructions import zero_algebra
+from novikov.core import verify_identity
 from novikov.errors import BudgetExceededError, WorkbenchError
-from novikov.ideals import commutator_ideal, is_ideal
+from novikov.ideals import (commutator_ideal, is_ideal, is_trivial_ideal,
+                            preimage_under_quotient, quotient)
 from novikov.oracle import (bruteforce_baer_tower, bruteforce_nilpotents,
                             enumerate_ideals, enumerate_subspaces,
                             enumerate_vectors, power_iteration_index,
@@ -196,3 +200,144 @@ def test_gf2_ideal_enumeration_contains_obvious_ideals():
     assert A.zero_space() in ideals
     assert A.full_space() in ideals
     assert Subspace.span(F2, [A.basis_vector(1)], 2) in ideals
+
+
+# ---------------------------------------------------------------------------
+# the lattice route against the definitions, enumerated afresh
+# ---------------------------------------------------------------------------
+
+def reference_tower(A, budget=None):
+    """The tower through quotients: in A/J, J the stage before, sum every
+    subspace that is a trivial ideal, and pull the sum back to A."""
+    tower, current = [], A.zero_space()
+    while True:
+        Q, _proj = quotient(A, current)
+        stage = Q.zero_space()
+        for S in enumerate_subspaces(Q.field, Q.dim, budget):
+            if is_trivial_ideal(Q, S):
+                stage = stage.sum(S)
+        nxt = preimage_under_quotient(A, current, stage)
+        if nxt == current:
+            return tower or [current]
+        tower.append(nxt)
+        current = nxt
+
+
+def reference_quotient_is(kind, Q, budget=None):
+    """Q is an integral domain, or a field, checked on every point."""
+    if Q.dim and not (verify_identity(Q, "commutative").ok
+                      and verify_identity(Q, "associative").ok):
+        return False
+    points = enumerate_vectors(Q.field, Q.dim, budget)
+    nonzero = [x for x in points if any(x)]
+    if kind == "domain":
+        return all(any(Q.multiply(x, y)) for x in nonzero for y in nonzero)
+    units = [u for u in nonzero if all(Q.multiply(u, x) == x for x in points)]
+    return bool(units) and all(any(Q.multiply(x, y) == units[0] for y in nonzero)
+                               for x in nonzero)
+
+
+def reference_intersection(A, kind, budget=None):
+    """Intersection over every subspace that is an ideal with a domain (or
+    field) quotient; the full space when none qualifies."""
+    result = A.full_space()
+    for S in enumerate_subspaces(A.field, A.dim, budget):
+        if is_ideal(A, S) and reference_quotient_is(kind, quotient(A, S)[0], budget):
+            result = result.intersect(S)
+    return result
+
+
+def assert_matches_references(A, budget=None, name=None):
+    tower, rad = bruteforce_baer_tower(A, budget)
+    assert tower == reference_tower(A, budget), name
+    assert rad == tower[-1], name
+    for kind in ("domain", "field"):
+        assert (quotient_intersection(A, kind, budget)
+                == reference_intersection(A, kind, budget)), (name, kind)
+
+
+def test_lattice_route_matches_references_on_gf3_population():
+    for name, A in gf3_population():
+        assert_matches_references(A, name=name)
+
+
+def test_lattice_route_matches_references_on_gf2_commutative_population():
+    for name, A in gf2_commutative_population():
+        assert_matches_references(A, name=name)
+
+
+@st.composite
+def small_prime_field_tables(draw):
+    F = GF(draw(st.sampled_from((3, 5))))
+    dim = draw(st.integers(1, 3))
+    cube = [[[draw(st.integers(0, F.p - 1)) for _ in range(dim)]
+             for _ in range(dim)] for _ in range(dim)]
+    return AlgebraTable(F, cube)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_prime_field_tables())
+def test_lattice_route_matches_references_on_drawn_algebras(A):
+    assert_matches_references(A, budget=A.field.p ** A.dim)
+
+
+def test_lattice_route_on_zero_algebra():
+    A = zero_algebra(3, field=F3)
+    assert enumerate_ideals(A) == tuple(enumerate_subspaces(F3, 3))
+    assert_matches_references(A)
+    assert bruteforce_baer_tower(A)[0] == [A.full_space()]
+
+
+def test_lattice_route_on_field_algebra():
+    A = field_algebra(field=F3)
+    assert_matches_references(A)
+    assert bruteforce_baer_tower(A)[0] == [A.zero_space()]
+
+
+def test_one_enumeration_serves_tower_and_both_intersections(monkeypatch):
+    calls, items = [], []
+    real = oracle.enumerate_subspaces
+
+    def counting(*args):
+        calls.append(args)
+        subspaces = list(real(*args))
+        items.extend(subspaces)
+        return iter(subspaces)
+
+    monkeypatch.setattr(oracle, "enumerate_subspaces", counting)
+    oracle.enumerate_ideals.cache_clear()
+    A = AlgebraTable.from_products(F3, 3, {(0, 0): (0, 1, 0), (0, 1): (0, 0, 1),
+                                           (2, 2): (0, 0, 1)})
+    bruteforce_baer_tower(A)
+    quotient_intersection(A, "domain")
+    quotient_intersection(A, "field")
+    assert len(calls) == 1
+    assert len(items) == sum(gaussian_binomial(3, k, 3) for k in range(4))
+    assert isinstance(enumerate_ideals(A, 81), tuple)
+
+
+def test_refusals_come_before_any_enumeration(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "enumerate_subspaces",
+                        lambda *args: calls.append(args) or iter(()))
+    oracle.enumerate_ideals.cache_clear()
+    big = zero_algebra(5, field=F3)
+    small = zero_algebra(3, field=F3)
+    with pytest.raises(BudgetExceededError):
+        bruteforce_baer_tower(big)
+    for kind in ("domain", "field"):
+        with pytest.raises(BudgetExceededError):
+            quotient_intersection(big, kind)
+        with pytest.raises(BudgetExceededError):
+            quotient_intersection(small, kind, budget=26)
+    with pytest.raises(BudgetExceededError):
+        bruteforce_baer_tower(small, budget=26)
+    with pytest.raises(BudgetExceededError):
+        enumerate_ideals(small, 26)
+    with pytest.raises(WorkbenchError):
+        bruteforce_baer_tower(a2())
+    with pytest.raises(WorkbenchError):
+        quotient_intersection(a2(), "domain")
+    with pytest.raises(WorkbenchError):
+        enumerate_ideals(a2())
+    assert calls == []

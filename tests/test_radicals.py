@@ -424,6 +424,12 @@ def test_tampered_certificates_fail_verification():
     cert = bound_certificates(A, e1, 2, ideal=I, claim="lemma3")
     cert.data["n"] = 1  # precondition now fails; the verifier reports False
     assert not check_certificate(A, cert)
+    cert = bound_certificates(A, e1, 2, ideal=I, claim="theorem1")
+    cert.data["ideal"] = span(A, e1)  # not an ideal; the memo must not hide it
+    assert not check_certificate(A, cert)
+    assert not check_certificate(A, cert)
+    with pytest.raises(NotAnIdealError):
+        bound_certificates(A, e1, 2, ideal=span(A, e1), claim="theorem1")
     lifted = quasi_inverse_lift(gd_tpoly(4), gd_tpoly(4).basis_vector(0))
     y, lcert = lifted
     lcert.data["quasi_inverse"] = gd_tpoly(4).basis_vector(1)
