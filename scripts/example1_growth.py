@@ -4,27 +4,38 @@
 The k-variable truncation with the degree derivation gives a derived
 product whose right-power chain vanishes only after k + 1 steps, so the
 index grows without bound with k: the finite truncations witness that the
-untruncated construction is not right-nilpotent.
+untruncated construction is not right-nilpotent.  Each derived algebra is
+re-checked for the Novikov identities and eq1; the last column is the wall
+time of construction, both checks and the chain.
+
+Usage: PYTHONPATH=src python scripts/example1_growth.py --max-k 7
 """
 
 import argparse
+import time
 
 from novikov.constructions import example1_algebra, gd_construct
+from novikov.core import verify_identity
 from novikov.ideals import chain
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-k", type=int, default=5)
     args = parser.parse_args()
-    print(f"{'k':>3} {'dim':>5} {'right-nilpotency index':>24}")
+    print(f"{'k':>3} {'dim':>5} {'eq1':>5} {'right-nilpotency index':>24} {'seconds':>9}")
     previous = 0
     for k in range(1, args.max_k + 1):
+        start = time.perf_counter()
         B, d = example1_algebra(k)
-        A = gd_construct(B, d, check=False)
+        A = gd_construct(B, d, check=True)
+        eq1 = "holds" if verify_identity(A, "eq1").ok else "FAILS"
         index = chain(A, "right").index
+        seconds = time.perf_counter() - start
         marker = "strictly up" if index > previous else "NOT increasing!"
-        print(f"{k:>3} {A.dim:>5} {index:>24}   {marker}")
+        print(f"{k:>3} {A.dim:>5} {eq1:>5} {index:>24} {seconds:>9.2f}   {marker}",
+              flush=True)
         previous = index
 
 

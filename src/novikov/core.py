@@ -112,14 +112,6 @@ class AlgebraTable:
         p = self.field.p
         return tuple(out) if p is None else tuple([c % p for c in out])
 
-    def _combine(self, pairs):
-        """Coordinates of ``sum a * v`` over ``(a, terms of v)`` pairs."""
-        out = [self.field.zero] * self.dim
-        for a, terms in pairs:
-            for k, c in terms:
-                out[k] += a * c
-        return self._canonical(out)
-
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
         self._check_element(x)
@@ -247,9 +239,6 @@ class IdentityReport:
     failure: IdentityFailure | None = None
 
 
-IDENTITY_KINDS = ("novikov", "eq1", "associative", "commutative", "leibniz")
-
-
 def _check_same_algebra(A, d):
     if d.field != A.field:
         raise FieldMismatchError("map over a different field")
@@ -261,120 +250,127 @@ def _check_same_algebra(A, d):
 def verify_identity(A, kind, derivation=None):
     """Check a multilinear identity on all basis tuples.
 
-    Multilinearity makes the basis check complete; the report either passes
-    or carries the first failing tuple together with both sides.  Inputs
-    are immutable, so results are memoized.
+    Multilinearity makes the basis check complete.  Each law is a pair of
+    sparse tensors contracted from the nonzero structure constants only
+    (see :func:`_laws`).  A failing report carries the lexicographically
+    least tuple at which any law's sides differ, the first listed law that
+    differs there, and both sides.  Inputs are immutable, so results are
+    memoized.
     """
-    n = A.dim
-    index = A._sparse_index()
+    laws = _laws(A, kind, derivation)
+    firsts = [_first_difference(lhs, rhs) for _, lhs, rhs in laws]
+    found = [t for t in firsts if t is not None]
+    if not found:
+        return IdentityReport(kind, True)
+    t = min(found)
+    law, lhs, rhs = laws[firsts.index(t)]
+    zero = A.field.zero
+    lhs, rhs = (tuple(side.get(t, {}).get(k, zero) for k in range(A.dim))
+                for side in (lhs, rhs))
+    return IdentityReport(kind, False, IdentityFailure(law, t, lhs, rhs))
 
-    def times_basis(terms, k):
-        # (sum c_m e_m) e_k for the nonzero terms (m, c_m)
-        return A._combine((c, index[m][k]) for m, c in terms)
 
+def _laws(A, kind, derivation):
+    """The ``(law, lhs, rhs)`` pairs of an identity kind.
+
+    Each side is a tensor: a dict from a basis tuple to the nonzero
+    coordinates ``{k: c}`` of that side there, absent meaning zero.
+    ``P`` is the product tensor ``(i, j) -> e_i e_j``.
+    """
+    F = A.field
+    P = {(i, j): dict(terms) for i, row in enumerate(A._sparse_index())
+         for j, terms in enumerate(row) if terms}
     if kind == "commutative":
-        for i in range(n):
-            for j in range(n):
-                lhs = A.cube[i][j]
-                rhs = A.cube[j][i]
-                if lhs != rhs:
-                    return IdentityReport(kind, False,
-                                          IdentityFailure("xy == yx", (i, j), lhs, rhs))
-        return IdentityReport(kind, True)
-
-    if kind == "associative":
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    a = _basis_associator(A, i, j, k)
-                    if not vec_is_zero(a):
-                        return IdentityReport(kind, False,
-                                              IdentityFailure("(xy)z == x(yz)", (i, j, k),
-                                                              a, A.zero_vector()))
-        return IdentityReport(kind, True)
-
-    if kind == "novikov":
-        assoc = _associator_cube(A)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = assoc[i][j][k]
-                    rhs = assoc[j][i][k]
-                    if lhs != rhs:
-                        return IdentityReport(kind, False,
-                                              IdentityFailure("(x,y,z) == (y,x,z)",
-                                                              (i, j, k), lhs, rhs))
-                    lhs = times_basis(index[i][j], k)
-                    rhs = times_basis(index[i][k], j)
-                    if lhs != rhs:
-                        return IdentityReport(kind, False,
-                                              IdentityFailure("(xy)z == (xz)y",
-                                                              (i, j, k), lhs, rhs))
-        return IdentityReport(kind, True)
-
-    if kind == "eq1":
-        assoc = [[[_terms(v) for v in plane] for plane in block]
-                 for block in _associator_cube(A)]
-
-        def assoc_of(terms, j, k):
-            # (sum c_m e_m, e_j, e_k) for the nonzero terms (m, c_m)
-            return A._combine((c, assoc[m][j][k]) for m, c in terms)
-
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    aijk = assoc[i][j][k]
-                    for l in range(n):
-                        lhs = times_basis(aijk, l)
-                        mid = assoc_of(index[i][l], j, k)
-                        if lhs != mid:
-                            return IdentityReport(kind, False,
-                                                  IdentityFailure("(x,y,z)t == (xt,y,z)",
-                                                                  (i, j, k, l), lhs, mid))
-                        rhs = assoc_of(index[j][l], i, k)
-                        if lhs != rhs:
-                            return IdentityReport(kind, False,
-                                                  IdentityFailure("(x,y,z)t == (x,yt,z)",
-                                                                  (i, j, k, l), lhs, rhs))
-        return IdentityReport(kind, True)
-
+        return [("xy == yx", P, _swapped(P, 0, 1))]
     if kind == "leibniz":
         if derivation is None:
             raise ValueError("leibniz check needs a linear map")
         _check_same_algebra(A, derivation)
-        dcols = [_terms(derivation.column(j)) for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                lhs = derivation.mat_vec(A.cube[i][j])
-                # d(e_i) e_j + e_i d(e_j)
-                rhs = A._combine([(c, index[m][j]) for m, c in dcols[i]]
-                                 + [(c, index[i][m]) for m, c in dcols[j]])
-                if lhs != rhs:
-                    return IdentityReport(kind, False,
-                                          IdentityFailure("d(xy) == d(x)y + x d(y)",
-                                                          (i, j), lhs, rhs))
-        return IdentityReport(kind, True)
+        D = {(j,): dict(terms) for j in range(A.dim)
+             if (terms := _terms(derivation.column(j)))}  # (j,) -> d(e_j)
+        return [("d(xy) == d(x)y + x d(y)", _tensor(F, _apply(P, D)),
+                 _tensor(F, _substitute(P, 0, D), _substitute(P, 1, D)))]
+    if kind not in ("associative", "novikov", "eq1"):
+        raise ValueError(f"unknown identity kind {kind!r}")
+    assoc = _tensor(F, _apply(P, P), minus=_substitute(P, 1, P))
+    if kind == "associative":
+        return [("(xy)z == x(yz)", assoc, {})]
+    if kind == "novikov":
+        right = _tensor(F, _apply(P, P))  # (e_i e_j) e_k
+        return [("(x,y,z) == (y,x,z)", assoc, _swapped(assoc, 0, 1)),
+                ("(xy)z == (xz)y", right, _swapped(right, 1, 2))]
+    times = _tensor(F, _apply(assoc, P))  # (e_i, e_j, e_k) e_l
+    return [("(x,y,z)t == (xt,y,z)", times, _tensor(F, _substitute(assoc, 0, P))),
+            ("(x,y,z)t == (x,yt,z)", times, _tensor(F, _substitute(assoc, 1, P)))]
 
-    raise ValueError(f"unknown identity kind {kind!r}")
+
+def _tensor(field, *parts, minus=()):
+    """Sum ``(key, a, terms)`` contributions, each ``a * sum c e_k`` over
+    its ``(k, c)`` terms, into a tensor; those in ``minus`` are subtracted.
+    Residues are reduced and zeros dropped, so equal tensors are equal dicts.
+    """
+    acc = {}
+    for negate, contributions in [(False, part) for part in parts] + [(True, minus)]:
+        for key, a, terms in contributions:
+            out = acc.setdefault(key, {})
+            if negate:
+                a = -a
+            for k, c in terms:
+                out[k] = out.get(k, 0) + a * c
+    p = field.p
+    tensor = {}
+    for key, out in acc.items():
+        v = ({k: c for k, c in out.items() if c} if p is None
+             else {k: c % p for k, c in out.items() if c % p})
+        if v:
+            tensor[key] = v
+    return tensor
+
+
+def _by_slot(T, slot):
+    """``m -> [(key, terms)]`` over the entries of T with ``key[slot] == m``."""
+    groups = {}
+    for key, v in T.items():
+        groups.setdefault(key[slot], []).append((key, v.items()))
+    return groups
+
+
+def _apply(T, S):
+    """Contributions of ``sum_m T[key]_m S[(m,) + s]`` at ``key + s``: with
+    S = P this is "times e_l"; with S a map's columns it applies the map."""
+    groups = _by_slot(S, 0)
+    for key, v in T.items():
+        for m, c in v.items():
+            for skey, terms in groups.get(m, ()):
+                yield key + skey[1:], c, terms
+
+
+def _substitute(T, slot, S):
+    """Contributions of S substituted into one slot of T: at
+    ``key[:slot] + (x,) + key[slot + 1:] + s``, ``sum_m S[(x,) + s]_m T[key]``
+    over the keys with m at ``slot``.  With S = P and slot 1 this is
+    ``(e_i, e_j e_l, e_k) = sum_m c_jl^m (e_i, e_m, e_k)`` at ``(i, j, k, l)``."""
+    groups = _by_slot(T, slot)
+    for skey, v in S.items():
+        head, tail = skey[:1], skey[1:]
+        for m, c in v.items():
+            for key, terms in groups.get(m, ()):
+                yield key[:slot] + head + key[slot + 1:] + tail, c, terms
+
+
+def _swapped(T, a, b):
+    """T with key slots a < b exchanged."""
+    return {k[:a] + k[b:b + 1] + k[a + 1:b] + k[a:a + 1] + k[b + 1:]: v
+            for k, v in T.items()}
+
+
+def _first_difference(lhs, rhs):
+    """The lexicographically least tuple where two tensors differ, or None."""
+    if lhs == rhs:
+        return None
+    return min(t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t))
 
 
 def _terms(v):
     """The nonzero ``(k, c)`` coordinates of a vector."""
     return tuple((k, c) for k, c in enumerate(v) if c)
-
-
-def _basis_associator(A, i, j, k):
-    """(e_i e_j) e_k - e_i (e_j e_k), read from the sparse index."""
-    index = A._sparse_index()
-    return A._combine([(c, index[m][k]) for m, c in index[i][j]]
-                      + [(-c, index[i][m]) for m, c in index[j][k]])
-
-
-def _associator_cube(A):
-    n = A.dim
-    return [[[_basis_associator(A, i, j, k) for k in range(n)]
-             for j in range(n)] for i in range(n)]
-
-
-def is_novikov(A):
-    return verify_identity(A, "novikov").ok

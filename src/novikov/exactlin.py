@@ -468,7 +468,10 @@ class Subspace:
 
     def residual(self, v):
         """Remainder of ``v`` after elimination against the echelon basis."""
-        v = coerce_vector(self.field, v, self.ambient_dim)
+        return self.residual_canonical(coerce_vector(self.field, v, self.ambient_dim))
+
+    def residual_canonical(self, v):
+        """:meth:`residual` for a vector of canonical scalars: no coercion."""
         return tuple(_reduce_against(self.field, v, self.rows, self.pivots))
 
     def contains(self, v):

@@ -296,7 +296,7 @@ def quotient(A, I):
     qdim = len(comp)
 
     def project(v):
-        res = I.residual(v)
+        res = I.residual_canonical(v)
         return tuple(res[c] for c in comp)
 
     proj = Matrix.from_columns(F, [project(A.basis_vector(j)) for j in range(A.dim)],

@@ -110,10 +110,18 @@ def test_example1_right_index_growth():
     indices = []
     for k in range(1, 6):
         B, d = example1_algebra(k)
-        A = gd_construct(B, d, check=k <= 3)
+        A = gd_construct(B, d, check=True)
         indices.append(chain(A, "right").index)
+    assert verify_identity(A, "eq1").ok  # k = 5, dim 31
     assert all(i is not None for i in indices)
     assert all(a < b for a, b in zip(indices, indices[1:]))
+
+
+def test_example1_six_variables_is_novikov_and_eq1():
+    B, d = example1_algebra(6)
+    A = gd_construct(B, d, check=True)
+    assert A.dim == 63
+    assert verify_identity(A, "eq1").ok
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novikov.errors import DimensionMismatchError, FieldMismatchError
-from novikov.exactlin import GF, QQ, Matrix, Subspace, kernel, rank, solve
+from novikov.exactlin import (GF, QQ, Matrix, Subspace, coerce_vector, kernel, rank,
+                              solve)
 
 F3 = GF(3)
 
@@ -206,6 +207,16 @@ def test_contains_scaled_vector():
     U = Subspace.span(QQ, [(1, 1)], 2)
     assert U.contains((2, 2))
     assert not U.contains((1, 2))
+
+
+def test_residual_of_raw_and_canonical_vectors_agree():
+    for F, rows, v in ((QQ, [(1, 1, 0), (0, 0, 2)], (Fraction(3, 2), 4, -1)),
+                       (F3, [(1, 2, 0)], (4, -1, 5))):
+        U = Subspace.span(F, rows, 3)
+        r = U.residual(v)
+        assert r == U.residual_canonical(coerce_vector(F, v))
+        assert all(r[c] == F.zero for c in U.pivots)
+        assert U.contains(tuple(a - b for a, b in zip(coerce_vector(F, v), r)))
 
 
 def test_lattice_ambient_mismatch():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from corpus import a2, field_algebra
 from novikov import GF, QQ, AlgebraTable, Matrix, Subspace
 from novikov import ideals, radicals
-from novikov.constructions import (direct_sum, gd_construct, split_idempotents,
+from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
+                                   split_idempotents,
                                    truncated_poly, truncated_poly_derivation,
                                    weighted_euler_derivation, zero_algebra)
 from novikov.core import IdentityFailure, verify_identity
@@ -122,7 +123,7 @@ def dense_first_failure(A, kind, d=None):
                         if lhs != mid:
                             return ("(x,y,z)t == (xt,y,z)", (i, j, k, l), lhs, mid)
                         rhs = dense_combination(A, A.cube[j][l],
-                                                [assoc[m][i][k] for m in range(n)])
+                                                [assoc[i][m][k] for m in range(n)])
                         if lhs != rhs:
                             return ("(x,y,z)t == (x,yt,z)", (i, j, k, l), lhs, rhs)
         return None
@@ -349,6 +350,98 @@ def test_every_law_is_broken_and_reported(F, kind):
                     assert report_tuple(rep) == dense_first_failure(P, kind, d)
                     broken += not rep.ok
     assert broken > 0
+
+
+def sparse_bases(F):
+    """(algebra, derivation) of Example 1 in three variables (dim 7), and
+    its Gelfand-Dorfman product: 19 and 36 nonzero structure constants."""
+    B, d = example1_algebra(3, field=F)
+    return B, d, gd_construct(B, d)
+
+
+@st.composite
+def sparse_perturbations(draw, A):
+    """A with one to four entries changed.  An entry is either moved by a
+    nonzero scalar or driven to zero: by ``-c`` over QQ, and over GF(p) by
+    ``p - c mod p``, so the raw entry is a nonzero multiple of p that must
+    cancel when the table reduces it."""
+    F, n = A.field, A.dim
+    nonzero = [(i, j, k) for i in range(n) for j in range(n)
+               for k, c in enumerate(A.cube[i][j]) if c]
+    cube = [[list(v) for v in plane] for plane in A.cube]
+    entries = st.one_of(st.sampled_from(nonzero), st.tuples(*[st.integers(0, n - 1)] * 3))
+    for _ in range(draw(st.integers(1, 4))):
+        i, j, k = draw(entries)
+        c = cube[i][j][k]
+        if draw(st.booleans()):
+            cube[i][j][k] += -c if F.p is None else F.p - c % F.p
+        else:
+            cube[i][j][k] += draw(scalars(F).filter(bool))
+    return AlgebraTable(F, cube, A.basis_names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reports_on_a_sparse_base_match_dense_reference(data):
+    # prime fields only: the dense reference's Fraction loops take seconds
+    # per report at dim 7, and QQ reports are compared on the bases above
+    F = data.draw(st.sampled_from(FIELDS[1:]))
+    B, d, A = sparse_bases(F)
+    kind = data.draw(st.sampled_from(["novikov", "eq1", "associative", "commutative",
+                                      "leibniz"]))
+    P = data.draw(sparse_perturbations(A if kind in ("novikov", "eq1") else B))
+    d = d if kind == "leibniz" else None
+    rep = verify_identity(P, kind, derivation=d)
+    assert report_tuple(rep) == dense_first_failure(P, kind, d)
+    if not rep.ok:
+        assert canonical_types(F, rep.failure.lhs)
+        assert canonical_types(F, rep.failure.rhs)
+
+
+def assert_eq1_report_by_elements(A):
+    """An eq1 failure's sides are the element-level products its law
+    names; a pass means both laws hold on every basis tuple."""
+    e = A.basis_vectors()
+    mul, assoc = A.multiply, A.associator
+
+    def sides(i, j, k, l):
+        lhs = mul(assoc(e[i], e[j], e[k]), e[l])
+        return (lhs, {"(x,y,z)t == (xt,y,z)": assoc(mul(e[i], e[l]), e[j], e[k]),
+                      "(x,y,z)t == (x,yt,z)": assoc(e[i], mul(e[j], e[l]), e[k])})
+
+    rep = verify_identity(A, "eq1")
+    if rep.ok:
+        n = A.dim
+        for t in ((i, j, k, l) for i in range(n) for j in range(n)
+                  for k in range(n) for l in range(n)):
+            lhs, rhs = sides(*t)
+            assert all(lhs == r for r in rhs.values()), t
+        return
+    f = rep.failure
+    lhs, rhs = sides(*f.indices)
+    assert f.lhs == lhs and f.rhs == rhs[f.law] and f.lhs != f.rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_eq1_failures_are_the_element_associators(data):
+    if data.draw(st.booleans()):
+        A = data.draw(tables(max_dim=3))
+    else:
+        F = data.draw(st.sampled_from(FIELDS))
+        A = data.draw(sparse_perturbations(sparse_bases(F)[2]))
+    assert_eq1_report_by_elements(A)
+
+
+def test_eq1_second_law_substitutes_into_the_middle_slot():
+    # e1 e1 = e1, e2 e1 = e3: (e2, e1, e1) = e3 e1 - e2 e1 = -e3, so
+    # (e2, e1, e1) e1 = 0 while (e2, e1 e1, e1) = -e3.  Substituting into
+    # the first slot instead, (e1 e1, e2, e1) = (e1, e2, e1) = 0, misses it.
+    A = AlgebraTable.from_products(QQ, 3, {(0, 0): (1, 0, 0), (1, 0): (0, 0, 1)})
+    f = verify_identity(A, "eq1").failure
+    assert (f.law, f.indices) == ("(x,y,z)t == (x,yt,z)", (1, 0, 0, 0))
+    assert f.lhs == A.zero_vector() and f.rhs == (0, 0, -1)
+    assert_eq1_report_by_elements(A)
 
 
 # ---------------------------------------------------------------------------
