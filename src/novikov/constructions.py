@@ -29,10 +29,17 @@ def gd_construct(B, d, check=True):
     if not leib.ok:
         raise NotADerivationError(
             f"map fails the product rule on basis pair {leib.failure.indices}")
-    dcols = [d.column(j) for j in range(B.dim)]
-    cube = [[B.left_basis_mul(i, dcols[j]) for j in range(B.dim)]
-            for i in range(B.dim)]
-    A = AlgebraTable(B.field, cube, B.basis_names)
+    # e_i . e_j = e_i d(e_j) = sum_m d_mj e_i e_m, over B's nonzero
+    # products e_i e_m and the nonzero entries d_mj of row m of d
+    F = B.field
+    drows = [[(j, a) for j, a in enumerate(row) if a] for row in d.rows]
+    products = {}
+    for i, m, terms in B.nonzero_products():
+        for j, a in drows[m]:
+            out = products.setdefault((i, j), [F.zero] * B.dim)
+            for k, c in terms:
+                out[k] += a * c
+    A = AlgebraTable.from_products(F, B.dim, products, B.basis_names)
     if check:
         rep = verify_identity(A, "novikov")
         if not rep.ok:  # unreachable when the preconditions hold
@@ -57,9 +64,7 @@ def truncated_poly(n, unital=False, field=QQ):
         for j, b in enumerate(exps):
             s = a + b
             if s < n:
-                v = [field.zero] * dim
-                v[exps.index(s)] = field.one
-                products[(i, j)] = tuple(v)
+                products[(i, j)] = _placed(field, dim, ((exps.index(s), field.one),))
     return AlgebraTable.from_products(field, dim, products, names)
 
 
@@ -86,9 +91,7 @@ def example1_algebra(k, field=QQ):
             b = j + 1
             if a & b:
                 continue  # repeated variable squares to zero
-            v = [field.zero] * dim
-            v[(a | b) - 1] = field.one
-            products[(i, j)] = tuple(v)
+            products[(i, j)] = _placed(field, dim, (((a | b) - 1, field.one),))
     B = AlgebraTable.from_products(field, dim, products, names)
     weights = [field.of_int(bin(i + 1).count("1")) for i in range(dim)]
     return B, Matrix.diagonal(field, weights)
@@ -100,14 +103,13 @@ def weighted_euler_derivation(A, weights):
         raise DimensionMismatchError("one weight per basis vector required")
     F = A.field
     weights = [F.coerce(w) for w in weights]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            wij = F.add(weights[i], weights[j])
-            for kk, c in enumerate(A.cube[i][j]):
-                if c and weights[kk] != wij:
-                    raise NotADerivationError(
-                        f"weights are not compatible with the grading at "
-                        f"product ({i}, {j}) component {kk}")
+    for i, j, terms in A.nonzero_products():
+        wij = F.add(weights[i], weights[j])
+        for kk, _ in terms:
+            if weights[kk] != wij:
+                raise NotADerivationError(
+                    f"weights are not compatible with the grading at "
+                    f"product ({i}, {j}) component {kk}")
     return Matrix.diagonal(F, weights)
 
 
@@ -116,18 +118,9 @@ def adjoin_unit(A):
     F = A.field
     dim = A.dim + 1
     u = A.dim
-    products = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            products[(i, j)] = A.cube[i][j] + (F.zero,)
-    for i in range(A.dim):
-        e = [F.zero] * dim
-        e[i] = F.one
-        products[(i, u)] = tuple(e)
-        products[(u, i)] = tuple(e)
-    unit = [F.zero] * dim
-    unit[u] = F.one
-    products[(u, u)] = tuple(unit)
+    products = {(i, j): _placed(F, dim, terms) for i, j, terms in A.nonzero_products()}
+    for i in range(dim):
+        products[(i, u)] = products[(u, i)] = _placed(F, dim, ((i, F.one),))
     names = list(A.basis_names)
     uname = "unit"
     while uname in names:
@@ -141,17 +134,21 @@ def direct_sum(A, B):
         raise FieldMismatchError("direct summands over different fields")
     F = A.field
     dim = A.dim + B.dim
-    products = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            products[(i, j)] = A.cube[i][j] + vec_zeros(F, B.dim)
-    for i in range(B.dim):
-        for j in range(B.dim):
-            products[(A.dim + i, A.dim + j)] = vec_zeros(F, A.dim) + B.cube[i][j]
+    products = {(i, j): _placed(F, dim, terms) for i, j, terms in A.nonzero_products()}
+    for i, j, terms in B.nonzero_products():
+        products[(A.dim + i, A.dim + j)] = _placed(F, dim, terms, A.dim)
     names = list(A.basis_names) + list(B.basis_names)
     if len(set(names)) != dim:
         names = [f"a_{n}" for n in A.basis_names] + [f"b_{n}" for n in B.basis_names]
     return AlgebraTable.from_products(F, dim, products, names)
+
+
+def _placed(field, dim, terms, off=0):
+    """Dense vector of length dim with the ``(k, c)`` terms at ``off + k``."""
+    v = [field.zero] * dim
+    for k, c in terms:
+        v[off + k] = c
+    return v
 
 
 def zero_algebra(dim, field=QQ):
@@ -163,11 +160,7 @@ def zero_algebra(dim, field=QQ):
 def split_idempotents(m, field=QQ):
     """Direct product of m copies of the base field (pairwise orthogonal
     idempotents); its only derivation is zero."""
-    products = {}
-    for i in range(m):
-        v = [field.zero] * m
-        v[i] = field.one
-        products[(i, i)] = tuple(v)
+    products = {(i, i): _placed(field, m, ((i, field.one),)) for i in range(m)}
     return AlgebraTable.from_products(field, m, products,
                                       tuple(f"p{i + 1}" for i in range(m)))
 

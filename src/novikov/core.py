@@ -1,10 +1,10 @@
 """Algebras presented by structure constants.
 
-An algebra is a cube ``c`` of scalars with ``e_i e_j = sum_k c[i][j][k] e_k``;
-elements are plain coordinate tuples over the algebra's field.  This module
-provides the bilinear product, multiplication operators, associators,
-multilinear identity verification on basis tuples, left-normed powers and the
-r-nilpotency decision.
+An algebra is its nonzero structure constants: the terms ``(k, c)`` of each
+nonzero product ``e_i e_j = sum_k c e_k``.  Elements are plain coordinate
+tuples over the algebra's field.  This module provides the bilinear product,
+multiplication operators, associators, multilinear identity verification on
+basis tuples, left-normed powers and the r-nilpotency decision.
 
 Tables are immutable and every operation is pure.
 """
@@ -19,22 +19,31 @@ from .exactlin import Matrix, Subspace, coerce_vector, vec_is_zero, vec_sub, vec
 
 
 class AlgebraTable:
-    """Finite-dimensional algebra over an exact field.
+    """Finite-dimensional algebra over an exact field, stored as its
+    nonzero structure constants.
 
-    Unspecified structure constants are zero; the cube is always total.
-    The sparse index of the cube and the hash are filled in on first use;
-    both are pure functions of the cube, so a race only computes them twice.
+    ``index[i][j]`` is the tuple of nonzero ``(k, c)`` terms of
+    ``e_i e_j = sum_k c e_k``, in increasing k; every other constant is
+    zero.  Scalars are canonical, so equal algebras have equal indexes and
+    equality and hashing read the index alone.  The hash is computed on
+    first use; it is a pure function of the index, so a race only computes
+    it twice.
     """
 
-    __slots__ = ("field", "dim", "cube", "basis_names", "_sparse", "_hash")
+    __slots__ = ("field", "dim", "index", "basis_names", "_hash")
 
     def __init__(self, field, cube, basis_names=None):
+        """Validate a dense ``dim x dim x dim`` cube ``c[i][j][k]``."""
         dim = len(cube)
-        rows = []
-        for i, plane in enumerate(cube):
+        index = []
+        for plane in cube:
             if len(plane) != dim:
                 raise DimensionMismatchError("structure cube is not dim x dim x dim")
-            rows.append(tuple(coerce_vector(field, v, dim) for v in plane))
+            index.append([_terms(coerce_vector(field, v, dim)) for v in plane])
+        self._store(field, index, basis_names)
+
+    def _store(self, field, index, basis_names):
+        dim = len(index)
         if basis_names is None:
             basis_names = tuple(f"e{i + 1}" for i in range(dim))
         else:
@@ -43,9 +52,8 @@ class AlgebraTable:
                 raise DimensionMismatchError("basis name count differs from dim")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cube", tuple(rows))
+        object.__setattr__(self, "index", tuple(tuple(row) for row in index))
         object.__setattr__(self, "basis_names", basis_names)
-        object.__setattr__(self, "_sparse", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -53,12 +61,36 @@ class AlgebraTable:
 
     @classmethod
     def from_products(cls, field, dim, products, basis_names=None):
-        """Build a table from a ``{(i, j): coordinate vector}`` mapping."""
-        zero = vec_zeros(field, dim)
-        cube = [[zero] * dim for _ in range(dim)]
+        """Build a table from a ``{(i, j): coordinate vector}`` mapping;
+        absent pairs multiply to zero."""
+        index = [[()] * dim for _ in range(dim)]
         for (i, j), v in products.items():
-            cube[i][j] = coerce_vector(field, v, dim)
-        return cls(field, cube, basis_names)
+            index[i][j] = _terms(coerce_vector(field, v, dim))
+        A = cls.__new__(cls)
+        A._store(field, index, basis_names)
+        return A
+
+    @property
+    def cube(self):
+        """The dense structure cube ``c[i][j][k]`` as nested tuples.  It is
+        built on each read, so every read costs O(dim^3) time and memory."""
+        return tuple(tuple(self.basis_product(i, j) for j in range(self.dim))
+                     for i in range(self.dim))
+
+    def nonzero_products(self):
+        """Yield ``(i, j, terms)`` for every nonzero ``e_i e_j``, in
+        increasing ``(i, j)``, with the ``(k, c)`` terms of ``index[i][j]``."""
+        for i, row in enumerate(self.index):
+            for j, terms in enumerate(row):
+                if terms:
+                    yield i, j, terms
+
+    def basis_product(self, i, j):
+        """``e_i e_j`` as a dense coordinate vector."""
+        out = [self.field.zero] * self.dim
+        for k, c in self.index[i][j]:
+            out[k] = c
+        return tuple(out)
 
     # -- elements ----------------------------------------------------------
 
@@ -94,18 +126,6 @@ class AlgebraTable:
         if len(x) != self.dim:
             raise DimensionMismatchError(f"element length {len(x)} differs from dim {self.dim}")
 
-    def _sparse_index(self):
-        """``index[i][j]``: the nonzero ``(k, c)`` terms of ``e_i e_j``.
-
-        Built on the first product rather than in ``__init__``, so tables
-        that are only constructed, compared or hashed never pay for it.
-        """
-        index = self._sparse
-        if index is None:
-            index = tuple(tuple(_terms(v) for v in plane) for plane in self.cube)
-            object.__setattr__(self, "_sparse", index)
-        return index
-
     def _canonical(self, out):
         """Accumulated coordinates as a canonical vector: residues are
         reduced here, once per coordinate."""
@@ -116,7 +136,7 @@ class AlgebraTable:
         """Bilinear extension of the structure constants."""
         self._check_element(x)
         self._check_element(y)
-        index = self._sparse_index()
+        index = self.index
         ys = [(j, b) for j, b in enumerate(y) if b]
         out = [self.field.zero] * self.dim
         for i, a in enumerate(x):
@@ -131,8 +151,8 @@ class AlgebraTable:
         return self._canonical(out)
 
     def left_basis_mul(self, i, v):
-        """``e_i v``, read from the sparse index."""
-        row = self._sparse_index()[i]
+        """``e_i v``, read from the index."""
+        row = self.index[i]
         out = [self.field.zero] * self.dim
         for m, a in enumerate(v):
             if a:
@@ -141,8 +161,8 @@ class AlgebraTable:
         return self._canonical(out)
 
     def right_basis_mul(self, v, k):
-        """``v e_k``, read from the sparse index."""
-        index = self._sparse_index()
+        """``v e_k``, read from the index."""
+        index = self.index
         out = [self.field.zero] * self.dim
         for m, a in enumerate(v):
             if a:
@@ -206,13 +226,13 @@ class AlgebraTable:
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraTable) and other.field == self.field
-                and other.cube == self.cube
+                and other.index == self.index
                 and other.basis_names == self.basis_names)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.field, self.cube, self.basis_names))
+            h = hash((self.field, self.index, self.basis_names))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -278,8 +298,7 @@ def _laws(A, kind, derivation):
     ``P`` is the product tensor ``(i, j) -> e_i e_j``.
     """
     F = A.field
-    P = {(i, j): dict(terms) for i, row in enumerate(A._sparse_index())
-         for j, terms in enumerate(row) if terms}
+    P = {(i, j): dict(terms) for i, j, terms in A.nonzero_products()}
     if kind == "commutative":
         return [("xy == yx", P, _swapped(P, 0, 1))]
     if kind == "leibniz":

@@ -297,11 +297,7 @@ def serialize_algebra_doc(doc):
 
 def doc_from_algebra(A, maps=None):
     """Wrap an algebra table (and optional named maps) as a document."""
-    products = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if not vec_is_zero(A.cube[i][j]):
-                products[(i, j)] = A.cube[i][j]
+    products = {(i, j): A.basis_product(i, j) for i, j, _ in A.nonzero_products()}
     map_cols = {}
     for name, M in (maps or {}).items():
         map_cols[name] = {j: M.column(j) for j in range(A.dim)

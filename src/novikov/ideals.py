@@ -129,12 +129,14 @@ def commutator_ideal(A, U):
     _check_subspace(A, U)
     if not is_ideal(A, U):
         raise NotAnIdealError("commutator span is only taken over an ideal")
-    vecs = []
+    return _commutator_span(A, U)
+
+
+def _commutator_span(A, U):
+    """Span of ``{uv - vu : u, v in U basis}``."""
     rows = U.rows
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            vecs.append(A.commutator(rows[a], rows[b]))
-    return Subspace.span(A.field, vecs, A.dim)
+    return Subspace.span(A.field, [A.commutator(u, v) for a, u in enumerate(rows)
+                                   for v in rows[a + 1:]], A.dim)
 
 
 def is_trivial_ideal(A, I):
@@ -182,34 +184,30 @@ def chain(A, kind, base=None):
     if kind == "lie":
         if not is_ideal(A, base):
             raise NotAnIdealError("lie chain needs an ideal base")
-    elif not subspace_product(A, base, base).is_subspace_of(base):
-        raise PreconditionError(f"{kind} chain needs a multiplication-closed base")
+        nxt = _commutator_span(A, base)
+    else:
+        # base . base is both the closure precondition and the second term
+        nxt = subspace_product(A, base, base)
+        if not nxt.is_subspace_of(base):
+            raise PreconditionError(f"{kind} chain needs a multiplication-closed base")
+        if kind == "full":
+            return _full_chain(A, base, nxt)
 
-    if kind == "full":
-        return _full_chain(A, base)
-
+    # these recurrences depend on the current term alone, so an adjacent
+    # repeat really is a fixed point
     terms = [base]
-    while True:
-        cur = terms[-1]
-        if cur.is_zero():
-            return ChainReport(kind, tuple(terms), True, len(terms))
-        if kind == "right":
-            nxt = subspace_product(A, cur, base)
-        elif kind == "derived":
-            nxt = subspace_product(A, cur, cur)
-        else:  # lie
-            vecs = [A.commutator(u, v)
-                    for a, u in enumerate(cur.rows) for v in cur.rows[a + 1:]]
-            nxt = Subspace.span(A.field, vecs, A.dim)
-        # these recurrences depend on the current term alone, so an adjacent
-        # repeat really is a fixed point
-        if nxt == cur:
-            return ChainReport(kind, tuple(terms), True, None)
+    while nxt != terms[-1]:
         terms.append(nxt)
+        if nxt.is_zero():
+            break
+        nxt = (_commutator_span(A, nxt) if kind == "lie"
+               else subspace_product(A, nxt, base if kind == "right" else nxt))
+    return ChainReport(kind, tuple(terms), True, len(terms) if terms[-1].is_zero() else None)
 
 
-def _full_chain(A, base):
-    """Chain of full powers N_{k+1} = sum over i+j=k+1 of N_i N_j.
+def _full_chain(A, base, square):
+    """Chain of full powers N_{k+1} = sum over i+j=k+1 of N_i N_j, given
+    ``square`` = base . base, which is N_2 and L_2 below.
 
     The recurrence is memoryful, so an adjacent repeat does not prove
     stabilization (a plateau can be followed by a drop).  Instead compute
@@ -217,17 +215,15 @@ def _full_chain(A, base):
     recurrence is memoryless: every product of 2^{k-1} or more factors
     lies in L_k, so both chains share the same limit.
     """
-    L = base
-    while True:
-        nL = _product_span(A, ((L, base), (base, L)))
-        if nL == L:
-            break
+    L, nL = base, square
+    while nL != L:
         L = nL
+        nL = _product_span(A, ((L, base), (base, L)))
     limit = L
     terms = [base]
     while terms[-1] != limit:
         k1 = len(terms) + 1
-        terms.append(_product_span(
+        terms.append(square if k1 == 2 else _product_span(
             A, [(terms[i - 1], terms[k1 - i - 1]) for i in range(1, k1)]))
     index = len(terms) if limit.is_zero() else None
     return ChainReport("full", tuple(terms), True, index)
@@ -301,14 +297,11 @@ def quotient(A, I):
 
     proj = Matrix.from_columns(F, [project(A.basis_vector(j)) for j in range(A.dim)],
                                nrows=qdim)
-    cube = []
-    for a in comp:
-        row = []
-        for b in comp:
-            row.append(project(A.cube[a][b]))
-        cube.append(row)
+    position = {c: a for a, c in enumerate(comp)}
+    products = {(position[i], position[j]): project(A.basis_product(i, j))
+                for i, j, _ in A.nonzero_products() if i in position and j in position}
     names = tuple(A.basis_names[c] for c in comp)
-    return AlgebraTable(F, cube, names), proj
+    return AlgebraTable.from_products(F, qdim, products, names), proj
 
 
 def preimage_under_quotient(A, I, S):

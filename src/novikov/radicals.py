@@ -79,16 +79,9 @@ def nilradical_commutative(A):
     n = hull.dim
     traces = [hull.operator_matrix(hull.basis_vector(k), side="left").trace()
               for k in range(n)]
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = F.zero
-            for k, c in enumerate(hull.cube[i][j]):
-                if c:
-                    s = F.add(s, F.mul(c, traces[k]))
-            row.append(s)
-        gram.append(row)
+    gram = [[F.zero] * n for _ in range(n)]
+    for i, j, terms in hull.nonzero_products():
+        gram[i][j] = sum(c * traces[k] for k, c in terms)
     rad_hull = kernel(Matrix(F, gram, ncols=n))
     # A sits in the hull as the first dim coordinates; nilpotents of the
     # hull already avoid the unit coordinate, the intersection is a guard

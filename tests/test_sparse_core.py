@@ -42,11 +42,12 @@ def canon(F, out):
 
 def dense_multiply(A, x, y):
     n = A.dim
+    cube = A.cube
     out = [A.field.zero] * n
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[k] += x[i] * y[j] * A.cube[i][j][k]
+                out[k] += x[i] * y[j] * cube[i][j][k]
     return canon(A.field, out)
 
 
@@ -82,13 +83,14 @@ def dense_first_failure(A, kind, d=None):
     """The first failing basis tuple of a law, in the documented order, as
     ``(law, indices, lhs, rhs)``; None when the law holds."""
     n = A.dim
+    cube = A.cube
     e = A.basis_vectors()
     zero = A.zero_vector()
     if kind == "commutative":
         for i in range(n):
             for j in range(n):
-                if A.cube[i][j] != A.cube[j][i]:
-                    return ("xy == yx", (i, j), A.cube[i][j], A.cube[j][i])
+                if cube[i][j] != cube[j][i]:
+                    return ("xy == yx", (i, j), cube[i][j], cube[j][i])
         return None
     if kind == "associative":
         for i in range(n):
@@ -107,8 +109,8 @@ def dense_first_failure(A, kind, d=None):
                     if assoc[i][j][k] != assoc[j][i][k]:
                         return ("(x,y,z) == (y,x,z)", (i, j, k),
                                 assoc[i][j][k], assoc[j][i][k])
-                    lhs = dense_multiply(A, A.cube[i][j], e[k])
-                    rhs = dense_multiply(A, A.cube[i][k], e[j])
+                    lhs = dense_multiply(A, cube[i][j], e[k])
+                    rhs = dense_multiply(A, cube[i][k], e[j])
                     if lhs != rhs:
                         return ("(xy)z == (xz)y", (i, j, k), lhs, rhs)
         return None
@@ -118,11 +120,11 @@ def dense_first_failure(A, kind, d=None):
                 for k in range(n):
                     for l in range(n):
                         lhs = dense_multiply(A, assoc[i][j][k], e[l])
-                        mid = dense_combination(A, A.cube[i][l],
+                        mid = dense_combination(A, cube[i][l],
                                                 [assoc[m][j][k] for m in range(n)])
                         if lhs != mid:
                             return ("(x,y,z)t == (xt,y,z)", (i, j, k, l), lhs, mid)
-                        rhs = dense_combination(A, A.cube[j][l],
+                        rhs = dense_combination(A, cube[j][l],
                                                 [assoc[i][m][k] for m in range(n)])
                         if lhs != rhs:
                             return ("(x,y,z)t == (x,yt,z)", (i, j, k, l), lhs, rhs)
@@ -131,7 +133,7 @@ def dense_first_failure(A, kind, d=None):
     cols = [d.column(j) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = dense_combination(A, A.cube[i][j], cols)
+            lhs = dense_combination(A, cube[i][j], cols)
             rhs = dense_sum(A, dense_multiply(A, cols[i], e[j]),
                             dense_multiply(A, e[i], cols[j]))
             if lhs != rhs:
@@ -366,9 +368,10 @@ def sparse_perturbations(draw, A):
     ``p - c mod p``, so the raw entry is a nonzero multiple of p that must
     cancel when the table reduces it."""
     F, n = A.field, A.dim
+    dense = A.cube
     nonzero = [(i, j, k) for i in range(n) for j in range(n)
-               for k, c in enumerate(A.cube[i][j]) if c]
-    cube = [[list(v) for v in plane] for plane in A.cube]
+               for k, c in enumerate(dense[i][j]) if c]
+    cube = [[list(v) for v in plane] for plane in dense]
     entries = st.one_of(st.sampled_from(nonzero), st.tuples(*[st.integers(0, n - 1)] * 3))
     for _ in range(draw(st.integers(1, 4))):
         i, j, k = draw(entries)

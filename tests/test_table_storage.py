@@ -1,0 +1,203 @@
+"""An ``AlgebraTable`` is its nonzero structure constants.
+
+Every construction route gives the same table, with the same hash, for the
+same constants: a dense cube, ``from_products`` with or without explicit
+zero vectors, and raw entries that cancel mod p.  The builders that read
+the nonzero products (``adjoin_unit``, ``direct_sum``, ``gd_construct``,
+``quotient`` and ``doc_from_algebra``) are compared with dense loops over
+the cube written here.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_sparse_core import FIELDS, subspaces, tables
+from novikov import GF, QQ, AlgebraTable
+from novikov.constructions import (adjoin_unit, direct_sum, gd_construct,
+                                   random_commutative_pair)
+from novikov.dsl import doc_from_algebra, parse_algebra_source, serialize_algebra_doc
+from novikov.ideals import ideal_closure, quotient
+
+
+def same_table(A, B):
+    return A == B and B == A and hash(A) == hash(B)
+
+
+# ---------------------------------------------------------------------------
+# one table per set of structure constants
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_every_route_gives_one_table(F):
+    one, zero = F.one, F.zero
+    cube = [[(zero, one), (zero, zero)], [(zero, zero), (zero, zero)]]
+    dense = AlgebraTable(F, cube)
+    sparse = AlgebraTable.from_products(F, 2, {(0, 0): (0, 1)})
+    zeros = AlgebraTable.from_products(
+        F, 2, {(0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (0, 0)})
+    ints = AlgebraTable(F, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+    for other in (sparse, zeros, ints):
+        assert same_table(dense, other)
+    assert dense.index == ((((1, one),), ()), ((), ()))
+    assert dense != AlgebraTable.from_products(F, 2, {(0, 0): (0, 1)}, ("x", "y"))
+    assert dense != AlgebraTable.from_products(F, 2, {(0, 1): (0, 1)})
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_entries_that_cancel_mod_p_are_absent(p):
+    F = GF(p)
+    table = AlgebraTable(F, [[[p, 2 * p + 1], [0, 0]], [[0, 0], [-p, 0]]])
+    assert table.index == ((((1, 1),), ()), ((), ()))
+    assert same_table(table, AlgebraTable.from_products(F, 2, {(0, 0): (0, 1)}))
+    cancelled = AlgebraTable.from_products(F, 2, {(0, 0): (p, -p), (1, 0): (0, 2 * p)})
+    assert cancelled.index == (((), ()), ((), ()))
+    assert list(cancelled.nonzero_products()) == []
+    assert same_table(cancelled, AlgebraTable.from_products(F, 2, {}))
+
+
+def test_rational_entries_are_reduced_before_comparison():
+    halves = AlgebraTable(QQ, [[[Fraction(2, 4)]]])
+    assert same_table(halves, AlgebraTable.from_products(QQ, 1, {(0, 0): (Fraction(1, 2),)}))
+    assert same_table(AlgebraTable(QQ, [[[Fraction(3, 3) - 1]]]), AlgebraTable(QQ, [[[0]]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_dense_cube_round_trips(data):
+    A = data.draw(tables())
+    cube = A.cube
+    assert same_table(AlgebraTable(A.field, cube, A.basis_names), A)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert cube[i][j] == A.basis_product(i, j)
+            assert cube[i][j] == A.multiply(A.basis_vector(i), A.basis_vector(j))
+    products = {(i, j): cube[i][j] for i in range(A.dim) for j in range(A.dim)}
+    assert same_table(AlgebraTable.from_products(A.field, A.dim, products, A.basis_names), A)
+    listed = list(A.nonzero_products())
+    assert [(i, j) for i, j, _ in listed] == sorted(
+        (i, j) for i in range(A.dim) for j in range(A.dim) if any(cube[i][j]))
+    for i, j, terms in listed:
+        assert terms == tuple((k, c) for k, c in enumerate(cube[i][j]) if c)
+
+
+def test_a_table_is_immutable():
+    A = AlgebraTable.from_products(QQ, 1, {(0, 0): (1,)})
+    for name in ("cube", "index", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(A, name, None)
+
+
+# ---------------------------------------------------------------------------
+# builders against dense loops over the cube
+# ---------------------------------------------------------------------------
+
+def dense_adjoin_unit(A):
+    F, n = A.field, A.dim
+    cube = A.cube
+    unit = [[cube[i][j] + (F.zero,) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        unit[i].append(A.basis_vector(i) + (F.zero,))
+    unit.append([A.basis_vector(i) + (F.zero,) for i in range(n)]
+                + [(F.zero,) * n + (F.one,)])
+    names = list(A.basis_names)
+    uname = "unit"
+    while uname in names:
+        uname += "_"
+    return AlgebraTable(F, unit, names + [uname])
+
+
+def dense_direct_sum(A, B):
+    F = A.field
+    ca, cb = A.cube, B.cube
+    za, zb = (F.zero,) * A.dim, (F.zero,) * B.dim
+    zero = za + zb
+    cube = [[ca[i][j] + zb for j in range(A.dim)] + [zero] * B.dim for i in range(A.dim)]
+    cube += [[zero] * A.dim + [za + cb[i][j] for j in range(B.dim)] for i in range(B.dim)]
+    names = list(A.basis_names) + list(B.basis_names)
+    if len(set(names)) != len(names):
+        names = [f"a_{n}" for n in A.basis_names] + [f"b_{n}" for n in B.basis_names]
+    return AlgebraTable(F, cube, names)
+
+
+def dense_quotient(A, I):
+    comp = [c for c in range(A.dim) if c not in I.pivots]
+    cube = A.cube
+
+    def project(v):
+        res = I.residual(v)
+        return tuple(res[c] for c in comp)
+
+    return AlgebraTable(A.field, [[project(cube[a][b]) for b in comp] for a in comp],
+                        [A.basis_names[c] for c in comp])
+
+
+def dense_gd(B, d):
+    F, n = B.field, B.dim
+    cube = B.cube
+    out = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            acc = [F.zero] * n
+            for m in range(n):
+                for k in range(n):
+                    acc[k] += cube[i][m][k] * d.rows[m][j]
+            plane.append(tuple(acc) if F.p is None else tuple(a % F.p for a in acc))
+        out.append(plane)
+    return AlgebraTable(F, out, B.basis_names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjoin_unit_matches_dense_reference(data):
+    A = data.draw(tables())
+    assert same_table(adjoin_unit(A), dense_adjoin_unit(A))
+
+
+def test_adjoin_unit_renames_a_clashing_unit():
+    A = AlgebraTable.from_products(QQ, 2, {(0, 0): (0, 1)}, ("unit", "unit_"))
+    hull = adjoin_unit(A)
+    assert hull.basis_names == ("unit", "unit_", "unit__")
+    assert same_table(hull, dense_adjoin_unit(A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_direct_sum_matches_dense_reference(data):
+    A = data.draw(tables(max_dim=3))
+    B = data.draw(tables(max_dim=3).filter(lambda B: B.field == A.field))
+    assert same_table(direct_sum(A, B), dense_direct_sum(A, B))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_matches_dense_reference(data):
+    A = data.draw(tables())
+    I = ideal_closure(A, data.draw(subspaces(A)))
+    Q, _ = quotient(A, I)
+    assert same_table(Q, dense_quotient(A, I))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+@pytest.mark.parametrize("seed", range(6))
+def test_gd_construct_matches_dense_reference(F, seed):
+    B, d = random_commutative_pair(random.Random(seed), max_dim=5, field=F)
+    assert same_table(gd_construct(B, d), dense_gd(B, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_doc_from_algebra_matches_dense_reference(data):
+    A = data.draw(tables())
+    cube = A.cube
+    want = {(i, j): cube[i][j] for i in range(A.dim) for j in range(A.dim)
+            if any(cube[i][j])}
+    doc = doc_from_algebra(A)
+    assert doc.products == want
+    assert same_table(doc.to_algebra(), A)
+    if A.dim:
+        assert same_table(parse_algebra_source(serialize_algebra_doc(doc)).to_algebra(), A)
