@@ -31,15 +31,16 @@ def gd_construct(B, d, check=True):
             f"map fails the product rule on basis pair {leib.failure.indices}")
     # e_i . e_j = e_i d(e_j) = sum_m d_mj e_i e_m, over B's nonzero
     # products e_i e_m and the nonzero entries d_mj of row m of d
-    F = B.field
     drows = [[(j, a) for j, a in enumerate(row) if a] for row in d.rows]
     products = {}
     for i, m, terms in B.nonzero_products():
         for j, a in drows[m]:
-            out = products.setdefault((i, j), [F.zero] * B.dim)
+            out = products.setdefault((i, j), {})
             for k, c in terms:
-                out[k] += a * c
-    A = AlgebraTable.from_products(F, B.dim, products, B.basis_names)
+                out[k] = out.get(k, 0) + a * c
+    A = AlgebraTable._from_terms(B.field, B.dim, {ij: out.items()
+                                                  for ij, out in products.items()},
+                                 B.basis_names)
     if check:
         rep = verify_identity(A, "novikov")
         if not rep.ok:  # unreachable when the preconditions hold
@@ -64,8 +65,8 @@ def truncated_poly(n, unital=False, field=QQ):
         for j, b in enumerate(exps):
             s = a + b
             if s < n:
-                products[(i, j)] = _placed(field, dim, ((exps.index(s), field.one),))
-    return AlgebraTable.from_products(field, dim, products, names)
+                products[(i, j)] = ((exps.index(s), field.one),)
+    return AlgebraTable._from_terms(field, dim, products, names)
 
 
 def example1_algebra(k, field=QQ):
@@ -91,8 +92,8 @@ def example1_algebra(k, field=QQ):
             b = j + 1
             if a & b:
                 continue  # repeated variable squares to zero
-            products[(i, j)] = _placed(field, dim, (((a | b) - 1, field.one),))
-    B = AlgebraTable.from_products(field, dim, products, names)
+            products[(i, j)] = (((a | b) - 1, field.one),)
+    B = AlgebraTable._from_terms(field, dim, products, names)
     weights = [field.of_int(bin(i + 1).count("1")) for i in range(dim)]
     return B, Matrix.diagonal(field, weights)
 
@@ -118,14 +119,14 @@ def adjoin_unit(A):
     F = A.field
     dim = A.dim + 1
     u = A.dim
-    products = {(i, j): _placed(F, dim, terms) for i, j, terms in A.nonzero_products()}
+    products = {(i, j): terms for i, j, terms in A.nonzero_products()}
     for i in range(dim):
-        products[(i, u)] = products[(u, i)] = _placed(F, dim, ((i, F.one),))
+        products[(i, u)] = products[(u, i)] = ((i, F.one),)
     names = list(A.basis_names)
     uname = "unit"
     while uname in names:
         uname += "_"
-    return AlgebraTable.from_products(F, dim, products, names + [uname])
+    return AlgebraTable._from_terms(F, dim, products, names + [uname])
 
 
 def direct_sum(A, B):
@@ -134,21 +135,14 @@ def direct_sum(A, B):
         raise FieldMismatchError("direct summands over different fields")
     F = A.field
     dim = A.dim + B.dim
-    products = {(i, j): _placed(F, dim, terms) for i, j, terms in A.nonzero_products()}
+    products = {(i, j): terms for i, j, terms in A.nonzero_products()}
+    off = A.dim
     for i, j, terms in B.nonzero_products():
-        products[(A.dim + i, A.dim + j)] = _placed(F, dim, terms, A.dim)
+        products[(off + i, off + j)] = [(off + k, c) for k, c in terms]
     names = list(A.basis_names) + list(B.basis_names)
     if len(set(names)) != dim:
         names = [f"a_{n}" for n in A.basis_names] + [f"b_{n}" for n in B.basis_names]
-    return AlgebraTable.from_products(F, dim, products, names)
-
-
-def _placed(field, dim, terms, off=0):
-    """Dense vector of length dim with the ``(k, c)`` terms at ``off + k``."""
-    v = [field.zero] * dim
-    for k, c in terms:
-        v[off + k] = c
-    return v
+    return AlgebraTable._from_terms(F, dim, products, names)
 
 
 def zero_algebra(dim, field=QQ):
@@ -160,9 +154,9 @@ def zero_algebra(dim, field=QQ):
 def split_idempotents(m, field=QQ):
     """Direct product of m copies of the base field (pairwise orthogonal
     idempotents); its only derivation is zero."""
-    products = {(i, i): _placed(field, m, ((i, field.one),)) for i in range(m)}
-    return AlgebraTable.from_products(field, m, products,
-                                      tuple(f"p{i + 1}" for i in range(m)))
+    products = {(i, i): ((i, field.one),) for i in range(m)}
+    return AlgebraTable._from_terms(field, m, products,
+                                    tuple(f"p{i + 1}" for i in range(m)))
 
 
 def block_diag(field, mats):

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .exactlin import Matrix, Subspace, coerce_vector, vec_is_zero, vec_sub, vec_zeros
+from .exactlin import (Matrix, Subspace, coerce_vector, from_int_vector, int_vector,
+                       vec_sub, vec_zeros)
 
 
 class AlgebraTable:
@@ -30,31 +32,54 @@ class AlgebraTable:
     it twice.
     """
 
-    __slots__ = ("field", "dim", "index", "basis_names", "_hash")
+    __slots__ = ("field", "dim", "index", "basis_names", "_hash", "_int_index", "_den")
 
     def __init__(self, field, cube, basis_names=None):
         """Validate a dense ``dim x dim x dim`` cube ``c[i][j][k]``."""
         dim = len(cube)
-        index = []
-        for plane in cube:
+        products = {}
+        for i, plane in enumerate(cube):
             if len(plane) != dim:
                 raise DimensionMismatchError("structure cube is not dim x dim x dim")
-            index.append([_terms(coerce_vector(field, v, dim)) for v in plane])
-        self._store(field, index, basis_names)
+            for j, v in enumerate(plane):
+                products[i, j] = _dense_terms(v, dim)
+        self._store(field, dim, products, basis_names)
 
-    def _store(self, field, index, basis_names):
-        dim = len(index)
+    def _store(self, field, dim, products, basis_names):
+        """The one storage route: build the index from ``{(i, j): terms}``,
+        the ``(k, c)`` terms of each nonzero product with raw scalars, which
+        are coerced and sorted here; terms that are zero or cancel mod p are
+        dropped.  The index's integer form is derived as
+        well: the structure constants times one positive D, the least
+        common denominator over QQ and 1 over GF(p), so that
+        ``e_i e_j = sum_k (n / D) e_k`` over the ``(k, n)`` of
+        ``_int_index[i][j]``."""
         if basis_names is None:
             basis_names = tuple(f"e{i + 1}" for i in range(dim))
         else:
             basis_names = tuple(basis_names)
             if len(basis_names) != dim:
                 raise DimensionMismatchError("basis name count differs from dim")
+        coerce = field.coerce
+        index = [[()] * dim for _ in range(dim)]
+        for (i, j), given in products.items():
+            kept = sorted([(k, coerce(c)) for k, c in given if c])
+            index[i][j] = tuple([(k, c) for k, c in kept if c])
+        index = tuple(tuple(row) for row in index)
+        den = 1
+        int_index = index
+        if field.p is None:
+            den = lcm(*[c.denominator for row in index for ts in row for _, c in ts])
+            int_index = tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
+                                          for k, c in ts) for ts in row)
+                              for row in index)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "index", tuple(tuple(row) for row in index))
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_int_index", int_index)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraTable is immutable")
@@ -63,11 +88,17 @@ class AlgebraTable:
     def from_products(cls, field, dim, products, basis_names=None):
         """Build a table from a ``{(i, j): coordinate vector}`` mapping;
         absent pairs multiply to zero."""
-        index = [[()] * dim for _ in range(dim)]
-        for (i, j), v in products.items():
-            index[i][j] = _terms(coerce_vector(field, v, dim))
+        return cls._from_terms(field, dim, {ij: _dense_terms(v, dim)
+                                            for ij, v in products.items()},
+                               basis_names)
+
+    @classmethod
+    def _from_terms(cls, field, dim, products, basis_names=None):
+        """Build a table from ``{(i, j): terms}`` over the nonzero
+        products, each an iterable of ``(k, c)`` with distinct k and raw
+        scalars (see :meth:`_store`)."""
         A = cls.__new__(cls)
-        A._store(field, index, basis_names)
+        A._store(field, dim, products, basis_names)
         return A
 
     @property
@@ -126,49 +157,94 @@ class AlgebraTable:
         if len(x) != self.dim:
             raise DimensionMismatchError(f"element length {len(x)} differs from dim {self.dim}")
 
-    def _canonical(self, out):
-        """Accumulated coordinates as a canonical vector: residues are
-        reduced here, once per coordinate."""
-        p = self.field.p
-        return tuple(out) if p is None else tuple([c % p for c in out])
-
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
         self._check_element(x)
         self._check_element(y)
-        index = self.index
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        out = [self.field.zero] * self.dim
-        for i, a in enumerate(x):
-            if a:
-                row = index[i]
-                for j, b in ys:
-                    terms = row[j]
-                    if terms:
-                        s = a * b
-                        for k, c in terms:
-                            out[k] += s * c
-        return self._canonical(out)
+        F = self.field
+        if F.p is not None:
+            return tuple(self.int_multiply(terms(x), terms(y)))
+        xi, dx = int_vector(F, x)
+        yi, dy = int_vector(F, y)
+        return from_int_vector(F, self.int_multiply(terms(xi), terms(yi)), dx * dy * self._den)
 
     def left_basis_mul(self, i, v):
         """``e_i v``, read from the index."""
-        row = self.index[i]
-        out = [self.field.zero] * self.dim
+        F = self.field
+        if F.p is not None:
+            return tuple(self.int_left_mul(i, v))
+        vi, dv = int_vector(F, v)
+        return from_int_vector(F, self.int_left_mul(i, vi), dv * self._den)
+
+    def right_basis_mul(self, v, k):
+        """``v e_k``, read from the index."""
+        F = self.field
+        if F.p is not None:
+            return tuple(self.int_right_mul(v, k))
+        vi, dv = int_vector(F, v)
+        return from_int_vector(F, self.int_right_mul(vi, k), dv * self._den)
+
+    # Integer vectors (see ``exactlin.int_vector``): each product below is
+    # D times the product of its integer arguments, accumulated in plain
+    # ints; over GF(p), where D = 1, it is reduced to residues once per
+    # coordinate.
+
+    def int_multiply(self, xs, ys):
+        """D times ``x y`` for integer vectors x and y given by their
+        nonzero terms ``xs = terms(x)`` and ``ys = terms(y)``, which a
+        caller multiplying one vector many times computes once."""
+        index = self._int_index
+        out = [0] * self.dim
+        for i, a in xs:
+            row = index[i]
+            for j, b in ys:
+                prod = row[j]
+                if prod:
+                    s = a * b
+                    for k, c in prod:
+                        out[k] += s * c
+        p = self.field.p
+        return out if p is None else [c % p for c in out]
+
+    def int_left_mul(self, i, v):
+        """D times ``e_i v`` for an integer vector v."""
+        row = self._int_index[i]
+        out = [0] * self.dim
         for m, a in enumerate(v):
             if a:
                 for k, c in row[m]:
                     out[k] += a * c
-        return self._canonical(out)
+        p = self.field.p
+        return out if p is None else [c % p for c in out]
 
-    def right_basis_mul(self, v, k):
-        """``v e_k``, read from the index."""
-        index = self.index
-        out = [self.field.zero] * self.dim
+    def int_right_mul(self, v, k):
+        """D times ``v e_k`` for an integer vector v."""
+        index = self._int_index
+        out = [0] * self.dim
         for m, a in enumerate(v):
             if a:
                 for t, c in index[m][k]:
                     out[t] += a * c
-        return self._canonical(out)
+        p = self.field.p
+        return out if p is None else [c % p for c in out]
+
+    def _int_powers(self, x, den=1):
+        """Yield ``(p, d)`` with ``p / d`` = y^1, y^2, ... for y = x / den,
+        x an integer vector, and stop after the first zero power.  Each p
+        is an integer vector; over QQ the pair is kept in lowest terms, so
+        the entries do not grow with the exponent."""
+        p, step, xs = x, self._den * den, terms(x)
+        while True:
+            yield p, den
+            if not any(p):
+                return
+            p = self.int_multiply(terms(p), xs)
+            if self.field.p is None:
+                den *= step
+                g = gcd(den, *p)
+                if g != 1:
+                    p = [a // g for a in p]
+                    den //= g
 
     def commutator(self, x, y):
         return vec_sub(self.field, self.multiply(x, y), self.multiply(y, x))
@@ -196,12 +272,9 @@ class AlgebraTable:
         """Yield x^1, x^2, ... (x^n = x^{n-1} x) and stop after the first
         zero power, since every later power is zero too."""
         self._check_element(x)
-        p = tuple(x)
-        while True:
-            yield p
-            if vec_is_zero(p):
-                return
-            p = self.multiply(p, x)
+        F = self.field
+        for p, den in self._int_powers(*int_vector(F, x)):
+            yield from_int_vector(F, p, den)
 
     def left_normed_power(self, x, n):
         """x^1 = x, x^n = x^{n-1} x.  Rejects n = 0: no unit is assumed."""
@@ -219,8 +292,10 @@ class AlgebraTable:
         x, which stays inside a cyclic subspace of dimension <= dim; so some
         power vanishes iff x^(dim+1) = 0 already.
         """
-        for n, p in zip(range(1, self.dim + 2), self.left_normed_powers(x)):
-            if vec_is_zero(p):
+        self._check_element(x)
+        powers = self._int_powers(int_vector(self.field, x)[0])
+        for n, (p, _) in zip(range(1, self.dim + 2), powers):
+            if not any(p):
                 return n
         return None
 
@@ -305,8 +380,8 @@ def _laws(A, kind, derivation):
         if derivation is None:
             raise ValueError("leibniz check needs a linear map")
         _check_same_algebra(A, derivation)
-        D = {(j,): dict(terms) for j in range(A.dim)
-             if (terms := _terms(derivation.column(j)))}  # (j,) -> d(e_j)
+        D = {(j,): dict(col) for j in range(A.dim)
+             if (col := terms(derivation.column(j)))}  # (j,) -> d(e_j)
         return [("d(xy) == d(x)y + x d(y)", _tensor(F, _apply(P, D)),
                  _tensor(F, _substitute(P, 0, D), _substitute(P, 1, D)))]
     if kind not in ("associative", "novikov", "eq1"):
@@ -390,6 +465,13 @@ def _first_difference(lhs, rhs):
     return min(t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t))
 
 
-def _terms(v):
+def terms(v):
     """The nonzero ``(k, c)`` coordinates of a vector."""
-    return tuple((k, c) for k, c in enumerate(v) if c)
+    return [(k, c) for k, c in enumerate(v) if c]
+
+
+def _dense_terms(v, dim):
+    """The ``(k, c)`` terms of a dense vector of length dim, zeros included."""
+    if len(v) != dim:
+        raise DimensionMismatchError(f"expected vector of length {dim}, got {len(v)}")
+    return enumerate(v)

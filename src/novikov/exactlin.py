@@ -1,9 +1,15 @@
-"""Exact scalars and dense exact linear algebra.
+"""Exact scalars, integer echelon rows and canonical subspaces.
 
 Scalars live in one of two fields: the rationals (stdlib ``Fraction``) or a
-prime field GF(p) (ints reduced to ``[0, p)``).  On top of that sit dense
-matrices and canonical subspaces (reduced row-echelon bases), which is the
+prime field GF(p) (ints reduced to ``[0, p)``).  Vectors and matrices hold
+these canonical scalars.  Subspaces (reduced row-echelon bases) are the
 representation used everywhere else for ideals, radicals and series terms.
+
+Elimination runs on integer rows only, one kernel for both fields.  Over
+GF(p) a row holds residues.  Over QQ it is a primitive integer multiple of
+its reduced row-echelon row, and elimination is fraction-free: a step is
+``v <- r v - c row``.  Fractions are made only where an exact vector
+leaves the kernel: a subspace's ``rows``, a residual, a solution.
 
 All values are immutable after construction and all operations are pure, so
 everything here can be shared freely between threads.
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError
 
@@ -358,75 +365,177 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# canonical subspaces
+# integer rows
 # ---------------------------------------------------------------------------
+#
+# Echelon rows and the vectors fed to them are sequences of ints.  Over
+# GF(p) they are residues.  Over QQ an integer vector stands for every
+# positive multiple of itself: a span does not depend on the scale of its
+# spanning vectors, so products and reductions never divide.  Fractions are
+# made only where an exact vector leaves the kernel.
 
-def _eliminate(v, c, row):
-    """v -= c * row in place, skipping the zero entries of row."""
-    for t, b in enumerate(row):
-        if b:
-            v[t] -= c * b
+_ZERO = Fraction(0)
 
 
-def _reduce_against(field, v, rows, pivots):
-    """Remainder of a canonical v against echelon rows; residues are
-    reduced once, at the end."""
-    v = list(v)
+def int_vector(field, v):
+    """``(ints, den)`` with ``v == ints / den`` for a vector of canonical
+    scalars.  Over QQ, den is the least common denominator; over GF(p) the
+    residues are the ints and den is 1."""
+    if field.p is not None:
+        return v, 1
+    ratios = [a.as_integer_ratio() for a in v]
+    den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return [n for n, _ in ratios], 1
+    return [n * (den // d) for n, d in ratios], den
+
+
+def from_int_vector(field, ints, den=1):
+    """The canonical vector ``ints / den``: one Fraction per nonzero
+    coordinate over QQ.  Over GF(p) the ints must be residues already,
+    and den is 1."""
+    if field.p is not None:
+        return tuple(ints)
+    if den == 1:
+        return tuple([Fraction(a) if a else _ZERO for a in ints])
+    return tuple([Fraction(a, den) if a else _ZERO for a in ints])
+
+
+def int_tidy(field, v):
+    """A smallest integer form of v: over QQ divided by the gcd of its
+    entries, over GF(p) reduced to residues."""
     p = field.p
-    touched = False
-    for piv, row in zip(pivots, rows):
-        c = v[piv] if p is None else v[piv] % p
+    if p is not None:
+        return [a % p for a in v]
+    g = gcd(*v)
+    return v if g <= 1 else [a // g for a in v]
+
+
+def _normalized(field, v, q):
+    """The canonical row of v, whose pivot is q: over QQ primitive with a
+    positive pivot, over GF(p) (where v holds residues) pivot 1.  v itself
+    when it is canonical already."""
+    p = field.p
+    if p is not None:
+        if v[q] == 1:
+            return v
+        inv = pow(v[q], -1, p)
+        return [a * inv % p for a in v]
+    g = gcd(*v)
+    if v[q] < 0:
+        g = -g
+    return v if g == 1 else [a // g for a in v]
+
+
+def _cleared(v, c, r, row):
+    """``(r' v - c' row, r')`` for ``r' = r / g``, ``c' = c / g`` and g the
+    gcd of r and c: the fraction-free step that clears the entry c of v at
+    the pivot of row, whose entry there is r.  When r is 1 the step is
+    made in place, skipping the zero entries of row."""
+    if r == 1:
+        for t, b in enumerate(row):
+            if b:
+                v[t] -= c * b
+        return v, 1
+    g = gcd(r, c)
+    if g != 1:
+        r //= g
+        c //= g
+    return [r * a - c * b for a, b in zip(v, row)], r
+
+
+def _reduce(field, v, rows, pivots):
+    """``(w, s)``: w is s times the remainder of the integer vector v
+    against echelon rows, and s > 0; every pivot entry of w is zero.  w is
+    v itself when no row touches it, and a new list otherwise.  Over GF(p)
+    w holds residues and s is 1."""
+    if not any(v):
+        return v, 1
+    p = field.p
+    scale = 1
+    owned = False
+    for q, row in zip(pivots, rows):
+        c = v[q] if p is None else v[q] % p
         if c:
-            _eliminate(v, c, row)
-            touched = True
-    return [a % p for a in v] if touched and p is not None else v
+            if not owned:
+                v, owned = list(v), True
+            v, r = _cleared(v, c, row[q], row)
+            scale *= r
+    if owned and p is not None:
+        v = [a % p for a in v]
+    return v, scale
 
 
 def echelon_insert(field, rows, pivots, v):
-    """Grow echelon ``rows``/``pivots`` in place by a canonical vector v.
+    """Grow integer echelon ``rows``/``pivots`` in place by an integer
+    vector v, which is not changed.
 
-    Returns v's pivot-normalized remainder, now one of the rows, or None
-    when v already lies in their span.  The returned row is the stored
-    list, which later insertions back-eliminate in place; a caller that
-    keeps it must copy it.
+    Returns v's remainder as a canonical row (see :class:`Subspace`), now
+    one of the rows, or None when v already lies in their span.  Rows are
+    pairwise reduced: the new row is cleared from every other row at its
+    pivot, and the rows it changes are divided by their content.  A
+    returned row is a stored list that later insertions may change in
+    place, so a caller that keeps it must copy it.
     """
-    v = _reduce_against(field, v, rows, pivots)
-    p = next((i for i, a in enumerate(v) if a), None)
-    if p is None:
+    w, _ = _reduce(field, v, rows, pivots)
+    if not any(w):
         return None
-    modulus = field.p
-    if v[p] != field.one:
-        inv = field.inv(v[p])
-        v = ([inv * a for a in v] if modulus is None
-             else [inv * a % modulus for a in v])
-    for row in rows:
-        c = row[p]
+    q = next(i for i, a in enumerate(w) if a)
+    v = _normalized(field, list(w) if w is v else w, q)
+    s = v[q]
+    for i, row in enumerate(rows):
+        c = row[q]
         if c:
-            _eliminate(row, c, v)
-            if modulus is not None:
-                row[:] = [a % modulus for a in row]
-    pos = bisect_left(pivots, p)
+            rows[i] = int_tidy(field, _cleared(row, c, s, v)[0])
+    pos = bisect_left(pivots, q)
     rows.insert(pos, v)
-    pivots.insert(pos, p)
+    pivots.insert(pos, q)
     return v
 
+
+def _echelon(field, vectors):
+    """``(rows, pivots)`` of the span of integer vectors."""
+    rows, pivots = [], []
+    for v in vectors:
+        echelon_insert(field, rows, pivots, v)
+    return rows, pivots
+
+
+# ---------------------------------------------------------------------------
+# canonical subspaces
+# ---------------------------------------------------------------------------
 
 class Subspace:
     """Subspace of ``field^ambient_dim`` held as a reduced row-echelon basis.
 
-    The basis is pivot-normalized with pairwise-reduced rows and no zero
-    rows, so two subspaces are equal as sets exactly when their ``rows``
-    tuples are identical.
+    ``int_rows`` are the integer echelon rows: pairwise reduced, no zero
+    rows, and each row canonical.  Over GF(p) a row holds residues with 1
+    at its pivot; over QQ it is the primitive integer multiple of the
+    reduced row-echelon row with a positive pivot.  So two subspaces are
+    equal as sets exactly when their ``int_rows`` are identical.
+    ``rows`` is the reduced row-echelon basis in canonical scalars; over
+    QQ its Fractions are made on first read.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "int_rows", "pivots", "_rows")
 
-    def __init__(self, field, ambient_dim, rows, pivots):
-        # internal: rows must already be canonical; use span() to build
+    def __init__(self, field, ambient_dim, int_rows, pivots):
+        # internal: int_rows must already be canonical; use span() to build
+        int_rows = tuple(tuple(r) for r in int_rows)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "int_rows", int_rows)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_rows", int_rows if field.p is not None else None)
+
+    @property
+    def rows(self):
+        rows = self._rows
+        if rows is None:
+            rows = tuple(from_int_vector(self.field, r, r[q])
+                         for r, q in zip(self.int_rows, self.pivots))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -434,10 +543,8 @@ class Subspace:
     @classmethod
     def span(cls, field, vectors, ambient_dim):
         """Canonical span of the given coordinate vectors."""
-        rows = []
-        pivots = []
-        for v in vectors:
-            echelon_insert(field, rows, pivots, coerce_vector(field, v, ambient_dim))
+        rows, pivots = _echelon(field, (
+            int_vector(field, coerce_vector(field, v, ambient_dim))[0] for v in vectors))
         return cls(field, ambient_dim, rows, pivots)
 
     @classmethod
@@ -446,19 +553,18 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        one, z = field.one, field.zero
-        rows = [[one if i == j else z for j in range(ambient_dim)] for i in range(ambient_dim)]
+        rows = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
         return cls(field, ambient_dim, rows, range(ambient_dim))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.int_rows)
 
     def is_zero(self):
-        return not self.rows
+        return not self.int_rows
 
     def is_full(self):
-        return len(self.rows) == self.ambient_dim
+        return len(self.int_rows) == self.ambient_dim
 
     def _check_ambient(self, other):
         if other.field != self.field:
@@ -472,24 +578,26 @@ class Subspace:
 
     def residual_canonical(self, v):
         """:meth:`residual` for a vector of canonical scalars: no coercion."""
-        return tuple(_reduce_against(self.field, v, self.rows, self.pivots))
+        ints, den = int_vector(self.field, v)
+        w, scale = _reduce(self.field, ints, self.int_rows, self.pivots)
+        return from_int_vector(self.field, w, den * scale)
 
     def contains(self, v):
-        return self.contains_canonical(coerce_vector(self.field, v, self.ambient_dim))
+        v = coerce_vector(self.field, v, self.ambient_dim)
+        return self.contains_int(int_vector(self.field, v)[0])
 
-    def contains_canonical(self, v):
-        """:meth:`contains` for a vector of canonical scalars, such as a
-        product computed in an algebra: no coercion."""
-        return vec_is_zero(_reduce_against(self.field, v, self.rows, self.pivots))
+    def contains_int(self, v):
+        """:meth:`contains` for an integer vector (see :func:`int_vector`)."""
+        return not any(_reduce(self.field, v, self.int_rows, self.pivots)[0])
 
     def is_subspace_of(self, other):
         self._check_ambient(other)
-        return all(other.contains_canonical(r) for r in self.rows)
+        return all(other.contains_int(r) for r in self.int_rows)
 
     def sum(self, other):
         self._check_ambient(other)
-        return Subspace.span(self.field, list(self.rows) + list(other.rows),
-                             self.ambient_dim)
+        rows, pivots = _echelon(self.field, self.int_rows + other.int_rows)
+        return Subspace(self.field, self.ambient_dim, rows, pivots)
 
     def intersect(self, other):
         self._check_ambient(other)
@@ -501,26 +609,22 @@ class Subspace:
             return self
         # columns = both bases; kernel vectors give coefficient pairs (a, b)
         # with a-combination = -(b-combination), i.e. intersection elements
-        cols = list(self.rows) + list(other.rows)
-        M = Matrix.from_columns(self.field, cols, nrows=self.ambient_dim)
-        ker = kernel(M)
-        k = self.dim
-        F = self.field
-        vecs = []
-        for w in ker.rows:
-            v = vec_zeros(F, self.ambient_dim)
-            for i in range(k):
-                if w[i]:
-                    v = vec_add(F, v, vec_scale(F, w[i], self.rows[i]))
-            vecs.append(v)
-        return Subspace.span(F, vecs, self.ambient_dim)
+        cols = self.int_rows + other.int_rows
+        mine = self.int_rows
+        F, n = self.field, self.ambient_dim
+        ker = _kernel_vectors(F, [[col[t] for col in cols] for t in range(n)], len(cols))
+        vecs = (int_tidy(F, [sum(w[i] * row[t] for i, row in enumerate(mine))
+                             for t in range(n)]) for w in ker)
+        rows, pivots = _echelon(F, vecs)
+        return Subspace(F, n, rows, pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field
-                and other.ambient_dim == self.ambient_dim and other.rows == self.rows)
+                and other.ambient_dim == self.ambient_dim
+                and other.int_rows == self.int_rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.rows))
+        return hash((self.field, self.ambient_dim, self.int_rows))
 
     def __repr__(self):
         rows = ["[" + " ".join(self.field.fmt(a) for a in r) + "]" for r in self.rows]
@@ -532,12 +636,12 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 def _row_reduce(field, rows, pivot_limit):
-    """Gauss-Jordan on a list of row lists; pivots only in the first
-    ``pivot_limit`` columns.  Returns (rows, pivot_columns).  Residues are
-    reduced once per eliminated row, so every entry is canonical between
-    pivot steps."""
+    """Fraction-free Gauss-Jordan on integer rows; pivots only in the
+    first ``pivot_limit`` columns.  Returns (rows, pivot_columns): every
+    pivot row is canonical (see :class:`Subspace`) and zero at the other
+    pivots, and a changed row is divided by its content (reduced to
+    residues over GF(p)) once per elimination."""
     work = [list(r) for r in rows]
-    modulus = field.p
     pivots = []
     r = 0
     for c in range(pivot_limit):
@@ -545,20 +649,19 @@ def _row_reduce(field, rows, pivot_limit):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        row = work[r]
-        if row[c] != field.one:
-            inv = field.inv(row[c])
-            row = work[r] = ([inv * a for a in row] if modulus is None
-                             else [inv * a % modulus for a in row])
+        row = work[r] = _normalized(field, work[r], c)
+        s = row[c]
         for i, other in enumerate(work):
             f = other[c]
             if f and i != r:
-                _eliminate(other, f, row)
-                if modulus is not None:
-                    other[:] = [a % modulus for a in other]
+                work[i] = int_tidy(field, _cleared(other, f, s, row)[0])
         pivots.append(c)
         r += 1
     return work, pivots
+
+
+def _int_rows(M):
+    return [int_vector(M.field, r)[0] for r in M.rows]
 
 
 def solve(M, b):
@@ -570,36 +673,44 @@ def solve(M, b):
     if len(b) != M.nrows:
         raise DimensionMismatchError(f"matrix has {M.nrows} rows, rhs length {len(b)}")
     F = M.field
+    n = M.ncols
     b = coerce_vector(F, b)
-    aug = [list(r) + [b[i]] for i, r in enumerate(M.rows)]
-    work, pivots = _row_reduce(F, aug, pivot_limit=M.ncols)
-    rank = len(pivots)
-    for row in work[rank:]:
-        if row[M.ncols]:
-            return None
-    y = [F.zero] * M.ncols
-    for i, p in enumerate(pivots):
-        y[p] = work[i][M.ncols]
-    return tuple(y)
+    work, pivots = _row_reduce(F, [int_vector(F, r + (b[i],))[0]
+                                   for i, r in enumerate(M.rows)], n)
+    if any(row[n] for row in work[len(pivots):]):
+        return None
+    den = lcm(*[row[q] for row, q in zip(work, pivots)])
+    y = [0] * n
+    for row, q in zip(work, pivots):
+        y[q] = row[n] * (den // row[q])
+    return from_int_vector(F, y, den)
+
+
+def _kernel_vectors(field, rows, ncols):
+    """Integer null-space basis of integer rows, one vector per free
+    column."""
+    work, pivots = _row_reduce(field, rows, ncols)
+    den = lcm(*[row[q] for row, q in zip(work, pivots)])
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [0] * ncols
+        v[free] = den
+        for row, q in zip(work, pivots):
+            v[q] = -row[free] * (den // row[q])
+        basis.append(int_tidy(field, v))
+    return basis
 
 
 def kernel(M):
     """Null space ``{v : M v = 0}`` as a canonical subspace."""
     F = M.field
-    work, pivots = _row_reduce(F, M.rows, pivot_limit=M.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(M.ncols):
-        if free in pivot_set:
-            continue
-        v = [F.zero] * M.ncols
-        v[free] = F.one
-        for i, p in enumerate(pivots):
-            v[p] = F.neg(work[i][free])
-        basis.append(v)
-    return Subspace.span(F, basis, M.ncols)
+    rows, pivots = _echelon(F, _kernel_vectors(F, _int_rows(M), M.ncols))
+    return Subspace(F, M.ncols, rows, pivots)
 
 
 def rank(M):
-    _, pivots = _row_reduce(M.field, M.rows, pivot_limit=M.ncols)
+    _, pivots = _row_reduce(M.field, _int_rows(M), pivot_limit=M.ncols)
     return len(pivots)

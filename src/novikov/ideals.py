@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import AlgebraTable
+from .core import AlgebraTable, terms
 from .errors import (DimensionMismatchError, FieldMismatchError, NotAnIdealError,
                      PreconditionError)
-from .exactlin import Matrix, Subspace, echelon_insert
+from .exactlin import Matrix, Subspace, echelon_insert, int_tidy, int_vector
 
 CHAIN_KINDS = ("right", "derived", "lie", "full")
 
@@ -27,14 +27,18 @@ def _check_subspace(A, U):
 
 def _product_span(A, pairs):
     """Span of ``{u v : u in U basis, v in V basis}`` over the ``(U, V)``
-    pairs, each product fed straight into the echelon rows; a repeated or
-    dependent product reduces to zero there."""
+    pairs.  Each integer product of integer rows is fed straight into the
+    echelon rows, since a span does not depend on the scale of its
+    spanning vectors; a repeated or dependent product reduces to zero
+    there."""
     F = A.field
     rows, pivots = [], []
     for U, V in pairs:
-        for u in U.rows:
-            for v in V.rows:
-                echelon_insert(F, rows, pivots, A.multiply(u, v))
+        vs = [terms(v) for v in V.int_rows]
+        for u in U.int_rows:
+            us = terms(u)
+            for v in vs:
+                echelon_insert(F, rows, pivots, A.int_multiply(us, v))
     return Subspace(F, A.dim, rows, pivots)
 
 
@@ -55,10 +59,10 @@ def is_ideal(A, U):
     _check_subspace(A, U)
     if U.is_full():
         return True
-    for u in U.rows:
+    for u in U.int_rows:
         for i in range(A.dim):
-            if not (U.contains_canonical(A.left_basis_mul(i, u))
-                    and U.contains_canonical(A.right_basis_mul(u, i))):
+            if not (U.contains_int(A.int_left_mul(i, u))
+                    and U.contains_int(A.int_right_mul(u, i))):
                 return False
     return True
 
@@ -91,10 +95,11 @@ def ideal_closure(A, S):
 
     def products(u):
         for i in range(A.dim):
-            yield A.left_basis_mul(i, u)
-            yield A.right_basis_mul(u, i)
+            yield A.int_left_mul(i, u)
+            yield A.int_right_mul(u, i)
 
-    return _grow(A, [list(r) for r in S.rows], list(S.pivots), list(S.rows), products)
+    return _grow(A, [list(r) for r in S.int_rows], list(S.pivots), list(S.int_rows),
+                 products)
 
 
 def subalgebra_generated(A, elements):
@@ -104,16 +109,17 @@ def subalgebra_generated(A, elements):
     F = A.field
     rows, pivots, queue = [], [], []
     for x in elements:
-        r = echelon_insert(F, rows, pivots, A.element(x))
+        r = echelon_insert(F, rows, pivots, int_vector(F, A.element(x))[0])
         if r is not None:
             queue.append(tuple(r))
     taken = []
 
     def products(u):
+        u = terms(u)
         taken.append(u)
         for v in taken:
-            yield A.multiply(u, v)
-            yield A.multiply(v, u)
+            yield A.int_multiply(u, v)
+            yield A.int_multiply(v, u)
 
     return _grow(A, rows, pivots, queue, products)
 
@@ -133,10 +139,14 @@ def commutator_ideal(A, U):
 
 
 def _commutator_span(A, U):
-    """Span of ``{uv - vu : u, v in U basis}``."""
-    rows = U.rows
-    return Subspace.span(A.field, [A.commutator(u, v) for a, u in enumerate(rows)
-                                   for v in rows[a + 1:]], A.dim)
+    """Span of ``{uv - vu : u, v in U basis}``, from integer products."""
+    F, rows = A.field, [terms(u) for u in U.int_rows]
+    out, pivots = [], []
+    for a, u in enumerate(rows):
+        for v in rows[a + 1:]:
+            echelon_insert(F, out, pivots, int_tidy(F, [
+                s - t for s, t in zip(A.int_multiply(u, v), A.int_multiply(v, u))]))
+    return Subspace(F, A.dim, out, pivots)
 
 
 def is_trivial_ideal(A, I):

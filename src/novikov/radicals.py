@@ -430,7 +430,11 @@ def check_certificate(A, cert):
             if not term.contains(step["residual"]):
                 return False
         return True
-    # tower
-    rad = d["radical"]
-    return is_ideal(A, rad) and all(
-        A.r_nilpotency_index(v) is not None for v in rad.rows)
+    # tower: re-derive both subspaces, so a radical that is too small or
+    # too large fails as well as one that is not an ideal
+    try:
+        _require_radical_preconditions(A)
+        K, rad, _ = _radical_subspace(A)
+    except WorkbenchError:
+        return False
+    return d["commutator_ideal"] == K and d["radical"] == rad

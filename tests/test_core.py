@@ -5,7 +5,7 @@ import pytest
 
 from corpus import a2, field_algebra, q_corpus
 from novikov import GF, QQ, AlgebraTable, verify_identity
-from novikov.constructions import (gd_construct, truncated_poly,
+from novikov.constructions import (example1_algebra, gd_construct, truncated_poly,
                                    weighted_euler_derivation)
 from novikov.errors import DimensionMismatchError
 from novikov.exactlin import Matrix, vec_is_zero, vec_sub
@@ -74,6 +74,43 @@ def test_associator_vanishes_on_commutative_associative():
     for _ in range(10):
         x, y, z = (B.random_element(rng) for _ in range(3))
         assert vec_is_zero(B.associator(x, y, z))
+
+
+def fraction_product(A, x, y):
+    """``sum x_i y_j c_ij^k e_k`` with ``Fraction`` arithmetic on the index."""
+    out = [Fraction(0)] * A.dim
+    for i, row in enumerate(A.index):
+        for j, terms in enumerate(row):
+            for k, c in terms:
+                out[k] += x[i] * y[j] * c
+    return tuple(out)
+
+
+@pytest.mark.parametrize("lam", [Fraction(67, 71), Fraction(-113, 79)])
+def test_integer_products_on_non_integer_constants(lam):
+    # the sqfree-ladder build: gd(B, lam * degree) has constants lam * deg
+    B, degree = example1_algebra(3)
+    A = gd_construct(B, degree.scale(lam))
+    assert any(c.denominator > 1 for _, _, terms in A.nonzero_products() for _, c in terms)
+    rng = random.Random(11)
+
+    def element():
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) * rng.randint(0, 1)
+                     for _ in range(A.dim))
+
+    for _ in range(15):
+        x, y = element(), element()
+        assert A.multiply(x, y) == fraction_product(A, x, y)
+        for i in range(A.dim):
+            e = A.basis_vector(i)
+            assert A.left_basis_mul(i, y) == fraction_product(A, e, y)
+            assert A.right_basis_mul(x, i) == fraction_product(A, x, e)
+        p, n = x, 1
+        while any(p):
+            assert A.left_normed_power(x, n) == p
+            p, n = fraction_product(A, p, x), n + 1
+        assert A.left_normed_power(x, n) == p
+        assert A.r_nilpotency_index(x) == n
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +282,16 @@ def test_from_products_and_names():
     A = AlgebraTable.from_products(QQ, 2, {(0, 0): (0, 1)}, basis_names=("a", "b"))
     assert A.basis_names == ("a", "b")
     assert A.cube[0][0] == (Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=lambda F: F.spec_string())
+def test_terms_in_any_order_give_one_table(F):
+    # builders hand their (k, c) terms over in the order they accumulate
+    dense = AlgebraTable.from_products(F, 3, {(0, 1): (2, 0, 1), (2, 2): (0, 1, 0)})
+    terms = AlgebraTable._from_terms(F, 3, {(0, 1): {2: 1, 0: 2}.items(),
+                                            (2, 2): [(1, 1), (0, 3 if F.p else 0)]})
+    assert terms == dense and hash(terms) == hash(dense)
+    assert terms.index == dense.index
 
 
 def test_table_equality_and_immutability():

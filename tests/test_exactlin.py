@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -299,3 +300,160 @@ def test_matrix_immutable():
     A = Matrix(QQ, [[1]])
     with pytest.raises(AttributeError):
         A.rows = ()
+
+
+# ---------------------------------------------------------------------------
+# the integer row kernel against plain Gauss-Jordan on field scalars
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+def ref_gauss_jordan(F, rows, pivot_limit):
+    """Reduced row-echelon form by textbook Gauss-Jordan with the field's
+    own operations (``Fraction`` over QQ): (nonzero rows, pivot columns)."""
+    work = [[F.coerce(a) for a in r] for r in rows]
+    pivots = []
+    for c in range(pivot_limit):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = F.inv(work[r][c])
+        work[r] = [F.mul(inv, a) for a in work[r]]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != r and f:
+                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return [tuple(r) for r in work[:len(pivots)]], pivots
+
+
+def ref_span(F, vectors, n):
+    return tuple(ref_gauss_jordan(F, vectors, n)[0])
+
+
+def ref_residual(F, vectors, n, v):
+    rows, pivots = ref_gauss_jordan(F, vectors, n)
+    out = [F.coerce(a) for a in v]
+    for row, q in zip(rows, pivots):
+        c = out[q]
+        out = [F.sub(a, F.mul(c, b)) for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def ref_kernel(F, rows, ncols):
+    work, pivots = ref_gauss_jordan(F, rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero] * ncols
+        v[free] = F.one
+        for row, q in zip(work, pivots):
+            v[q] = F.neg(row[free])
+        basis.append(v)
+    return ref_span(F, basis, ncols)
+
+
+def ref_solve(F, rows, b, ncols):
+    work, pivots = ref_gauss_jordan(F, [list(r) + [c] for r, c in zip(rows, b)], ncols + 1)
+    if ncols in pivots:  # a pivot in the right-hand side column
+        return None
+    y = [F.zero] * ncols
+    for row, q in zip(work, pivots):
+        y[q] = row[ncols]
+    return tuple(y)
+
+
+def kernel_scalars(F):
+    if F.p is None:
+        return st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+    return st.integers(0, F.p - 1)
+
+
+@st.composite
+def vector_families(draw, max_dim=5, max_count=6):
+    """(F, n, vectors): random vectors over one field, some of them
+    combinations of earlier ones, so that the family is dependent."""
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, max_dim))
+    count = draw(st.integers(0, max_count))
+    sparse = st.one_of(st.just(F.zero), kernel_scalars(F))
+    vecs = []
+    for _ in range(count):
+        if vecs and draw(st.booleans()):
+            coeffs = [F.coerce(draw(sparse)) for _ in vecs]
+            v = [F.zero] * n
+            for c, w in zip(coeffs, vecs):
+                v = [F.add(a, F.mul(c, b)) for a, b in zip(v, w)]
+            vecs.append(tuple(v))
+        else:
+            vecs.append(tuple(F.coerce(draw(sparse)) for _ in range(n)))
+    return F, n, vecs
+
+
+def assert_canonical_int_rows(S):
+    """Every stored integer row is the canonical one for its RREF row."""
+    F = S.field
+    for row, q in zip(S.int_rows, S.pivots):
+        assert all(type(a) is int for a in row)
+        assert not any(row[:q])
+        if F.p is None:
+            assert row[q] > 0 and gcd(*row) == 1
+        else:
+            assert row[q] == 1 and all(0 <= a < F.p for a in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families(), st.data())
+def test_span_contains_and_residual_match_gauss_jordan(family, data):
+    F, n, vecs = family
+    S = Subspace.span(F, vecs, n)
+    want = ref_span(F, vecs, n)
+    assert S.rows == want
+    assert S.pivots == tuple(ref_gauss_jordan(F, vecs, n)[1])
+    assert_canonical_int_rows(S)
+    v = tuple(F.coerce(data.draw(kernel_scalars(F))) for _ in range(n))
+    assert S.residual(v) == ref_residual(F, vecs, n, v)
+    assert S.contains(v) == (len(ref_span(F, vecs + [v], n)) == len(want))
+    for w in vecs:
+        assert S.contains(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_families(), st.data())
+def test_intersect_and_sum_match_gauss_jordan(family, data):
+    F, n, vecs = family
+    cut = data.draw(st.integers(0, len(vecs)))
+    U, V = Subspace.span(F, vecs[:cut], n), Subspace.span(F, vecs[cut:], n)
+    # the intersection by the reference: kernel of [U rows; V rows] as columns
+    cols = list(U.rows) + list(V.rows)
+    combos = []
+    for w in ref_kernel(F, [[c[t] for c in cols] for t in range(n)], len(cols)):
+        v = [F.zero] * n
+        for a, row in zip(w, U.rows):
+            v = [F.add(s, F.mul(a, b)) for s, b in zip(v, row)]
+        combos.append(v)
+    I = U.intersect(V)
+    assert I.rows == ref_span(F, combos, n)
+    assert U.sum(V).rows == ref_span(F, vecs, n)
+    for T in (I, U.sum(V)):
+        assert_canonical_int_rows(T)
+
+
+@settings(max_examples=120, deadline=None)
+@given(vector_families(max_dim=4, max_count=5), st.data())
+def test_solve_kernel_and_rank_match_gauss_jordan(family, data):
+    F, ncols, rows = family
+    if not rows:
+        return
+    M = Matrix(F, rows)
+    b = tuple(F.coerce(data.draw(kernel_scalars(F))) for _ in range(M.nrows))
+    if data.draw(st.booleans()):  # a consistent system half of the time
+        y0 = [F.coerce(data.draw(kernel_scalars(F))) for _ in range(ncols)]
+        b = M.mat_vec(y0)
+    assert solve(M, b) == ref_solve(F, M.rows, b, ncols)
+    K = kernel(M)
+    assert K.rows == ref_kernel(F, M.rows, ncols)
+    assert_canonical_int_rows(K)
+    assert rank(M) == len(ref_span(F, M.rows, ncols))

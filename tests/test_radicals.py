@@ -13,8 +13,8 @@ from novikov.errors import (CharTwoError, NotAnIdealError,
                             PreconditionError, SmallCharacteristicError)
 from novikov.exactlin import vec_add, vec_is_zero
 from novikov.ideals import chain, classify, commutator_ideal
-from novikov.radicals import (baer_radical, bound_certificates, check_certificate,
-                              lqr_radical, nilradical_commutative,
+from novikov.radicals import (Certificate, baer_radical, bound_certificates,
+                              check_certificate, lqr_radical, nilradical_commutative,
                               quasi_inverse_lift, quasiregular_solve)
 
 
@@ -434,3 +434,34 @@ def test_tampered_certificates_fail_verification():
     y, lcert = lifted
     lcert.data["quasi_inverse"] = gd_tpoly(4).basis_vector(1)
     assert not check_certificate(gd_tpoly(4), lcert)
+
+
+def tower_certificate(A, **tampered):
+    """The tower certificate of A's Baer radical, with entries replaced."""
+    cert = baer_radical(A).witnesses[0]
+    return Certificate("tower", dict(cert.data, **tampered))
+
+
+def test_tower_certificate_rejects_a_radical_that_is_too_small():
+    # gd(F[t]/(t^4), euler): every element is r-nilpotent, so the radical is
+    # the whole space; the zero subspace is an ideal with no basis rows
+    B = truncated_poly(4, unital=True)
+    A = gd_construct(B, weighted_euler_derivation(B, range(B.dim)))
+    assert baer_radical(A).radical == A.full_space()
+    assert check_certificate(A, tower_certificate(A))
+    assert not check_certificate(A, tower_certificate(A, radical=A.zero_space()))
+    assert not check_certificate(A, tower_certificate(A, radical=span(A, A.basis_vector(3))))
+
+
+def test_tower_certificate_rejects_subspaces_that_are_too_large():
+    A = truncated_poly(3, unital=True)  # the tpoly3u fixture
+    assert baer_radical(A).radical.dim == 2
+    assert check_certificate(A, tower_certificate(A))
+    assert not check_certificate(A, tower_certificate(A, radical=A.full_space()))
+    assert not check_certificate(A, tower_certificate(A, commutator_ideal=A.full_space()))
+
+
+def test_tower_certificate_fails_where_the_radical_route_does_not_apply():
+    cert = tower_certificate(a2())
+    assert check_certificate(a2(), cert)
+    assert not check_certificate(a2(GF(2)), cert)  # characteristic two
