@@ -189,6 +189,11 @@ class AlgebraTable:
     # ints; over GF(p), where D = 1, it is reduced to residues once per
     # coordinate.
 
+    @property
+    def int_scale(self):
+        """D, the scale of the integer products below."""
+        return self._den
+
     def int_multiply(self, xs, ys):
         """D times ``x y`` for integer vectors x and y given by their
         nonzero terms ``xs = terms(x)`` and ``ys = terms(y)``, which a

@@ -673,17 +673,25 @@ def solve(M, b):
     if len(b) != M.nrows:
         raise DimensionMismatchError(f"matrix has {M.nrows} rows, rhs length {len(b)}")
     F = M.field
-    n = M.ncols
     b = coerce_vector(F, b)
-    work, pivots = _row_reduce(F, [int_vector(F, r + (b[i],))[0]
-                                   for i, r in enumerate(M.rows)], n)
+    y = int_solve(F, [int_vector(F, r + (b[i],))[0] for i, r in enumerate(M.rows)],
+                  M.ncols)
+    return None if y is None else from_int_vector(F, *y)
+
+
+def int_solve(field, rows, n):
+    """``(y, den)`` with ``y / den`` a solution of the integer system whose
+    augmented rows ``[M | b]`` are given (n unknowns), or None if it is
+    inconsistent.  Every free variable is zero.  Over GF(p) the rows must
+    hold residues, and den is 1."""
+    work, pivots = _row_reduce(field, rows, n)
     if any(row[n] for row in work[len(pivots):]):
         return None
     den = lcm(*[row[q] for row, q in zip(work, pivots)])
     y = [0] * n
     for row, q in zip(work, pivots):
         y[q] = row[n] * (den // row[q])
-    return from_int_vector(F, y, den)
+    return y, den
 
 
 def _kernel_vectors(field, rows, ncols):

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from .core import verify_identity
 from .errors import BudgetExceededError, WorkbenchError
 from .exactlin import Subspace, vec_is_zero
-from .ideals import is_ideal, quotient, subspace_product
+from .ideals import _quotient, is_ideal, subspace_product
 
 DEFAULT_BUDGET = 81  # 3^4 coordinate vectors
 
@@ -192,8 +192,8 @@ def quotient_intersection(A, kind, budget=None):
     budget = _check_budget(A.field, A.dim, budget)
     test = _is_integral_domain if kind == "domain" else _is_field_algebra
     result = Subspace.full(A.field, A.dim)
-    for I in enumerate_ideals(A, budget):
-        Q, _proj = quotient(A, I)
+    for I in enumerate_ideals(A, budget):  # ideals already: no is_ideal re-test
+        Q, _proj = _quotient(A, I)
         if test(Q, budget):
             result = result.intersect(I)
     return result

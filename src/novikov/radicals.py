@@ -10,25 +10,22 @@ with it.  Every report carries re-checkable certificates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from math import gcd, lcm
 
 from .constructions import adjoin_unit
-from .core import verify_identity
+from .core import terms, verify_identity
 from .errors import (BudgetExceededError, CharTwoError, NotAnIdealError,
                      NotCommutativeAssociativeError, NotLieSolvableError,
                      PreconditionError, SmallCharacteristicError, WorkbenchError)
-from .exactlin import (Matrix, Subspace, kernel, vec_add, vec_is_zero, vec_neg,
-                       vec_scale, vec_sub)
-from .exactlin import solve as lin_solve
+from .exactlin import (Matrix, Subspace, from_int_vector, int_solve, int_vector,
+                       kernel, vec_add, vec_is_zero)
 from .ideals import (chain, commutator_ideal, is_ideal,
                      preimage_under_quotient, quotient, quotient_section,
                      subspace_product)
 
 CLAIM_TAGS = ("lemma1", "lemma3", "theorem1", "lifting", "quasireg", "tower")
-
-_SAMPLE_SEED = 20417  # fixed so reports and golden files are reproducible
 
 # Largest exponent a bound certificate may ask of an element that is not
 # r-nilpotent: its powers never vanish, so reaching x^s costs s - 1 products.
@@ -122,8 +119,13 @@ def _commutative_quotient(A):
     return K, Q, proj
 
 
+@lru_cache(maxsize=256)
 def _radical_subspace(A):
-    """Preimage in A of the nilradical of A/[A,A], plus the route taken."""
+    """``(K, rad, route)``: the commutator ideal K, the preimage rad in A of
+    the nilradical of A/K, and the route taken.  One derivation per
+    algebra, shared by both radicals and the ``tower`` check; an algebra
+    outside the route raises, and nothing is cached for it."""
+    _require_radical_preconditions(A)
     K, Q, proj = _commutative_quotient(A)
     try:
         nil = nilradical_commutative(Q)
@@ -139,71 +141,42 @@ def _radical_subspace(A):
     return K, rad, route
 
 
-def _random_member(A, sub, rng):
-    """Random element of a subspace with small random coordinates."""
-    F = A.field
-    v = A.zero_vector()
-    for row in sub.rows:
-        c = F.of_int(rng.randint(-2, 2)) if F.p is None else rng.randrange(F.p)
-        v = vec_add(F, v, vec_scale(F, c, row))
-    return tuple(v)
+def baer_radical(A):
+    """Baer radical via the commutative quotient, with a ``tower``
+    certificate: the commutator ideal, the radical and the index at which
+    the radical's derived series reaches zero.
 
-
-def baer_radical(A, samples=20):
-    """Baer radical via the commutative quotient.
-
-    The result is verified to be an ideal; every basis element plus
-    ``samples`` random elements of it are checked r-nilpotent, and random
-    elements outside it are checked not r-nilpotent.
+    The index is the containment witness.  In a Novikov algebra I I is an
+    ideal whenever I is, so a solvable ideal lies in the Baer radical; and
+    the radical is solvable, so the index is never None.
     """
-    _require_radical_preconditions(A)
     K, rad, route = _radical_subspace(A)
-    rng = random.Random(_SAMPLE_SEED)
-    inside = list(rad.rows)
-    inside.extend(_random_member(A, rad, rng) for _ in range(samples))
-    nil_indices = []
-    for v in inside:
-        idx = A.r_nilpotency_index(v)
-        if idx is None:  # contradicts the radical characterization
-            raise RuntimeError("radical sample is not r-nilpotent")
-        nil_indices.append(idx)
-    outside_checked = 0
-    if rad.dim < A.dim:
-        for _ in range(samples):
-            v = A.random_element(rng)
-            if rad.contains(v):
-                continue
-            if A.r_nilpotency_index(v) is not None:
-                raise RuntimeError("r-nilpotent element found outside the radical")
-            outside_checked += 1
+    index = chain(A, "derived", base=rad).index
+    if index is None:  # contradicts the tower argument
+        raise RuntimeError("radical is not solvable")
     cert = Certificate("tower", {
         "commutator_ideal": K,
         "radical": rad,
-        "inside_samples": len(inside),
-        "inside_nilpotency_indices": nil_indices,
-        "outside_non_nilpotent_samples": outside_checked,
+        "radical_derived_index": index,
     })
     return RadicalReport("baer", rad, route, [cert])
 
 
-def lqr_radical(A, samples=20):
+def lqr_radical(A):
     """Left-quasiregular radical; in finite dimension the Jacobson radical
     of the commutative quotient equals its nilradical, so the subspace
-    coincides with the Baer radical."""
-    _require_radical_preconditions(A)
+    coincides with the Baer radical.  Each basis row of it carries a
+    ``quasireg`` witness."""
     K, rad, route = _radical_subspace(A)
     route += ("; Jacobson radical of the finite-dimensional quotient equals "
               "its nilradical: = baer radical (finite-dimensional coincidence)")
-    rng = random.Random(_SAMPLE_SEED + 1)
     witnesses = []
-    sample_vectors = list(rad.rows)
-    sample_vectors.extend(_random_member(A, rad, rng) for _ in range(samples))
-    for v in sample_vectors:
+    for v in rad.rows:
         y = quasiregular_solve(A, v, side="left")
         if y is None:  # contradicts the radical characterization
-            raise RuntimeError("radical sample is not left-quasiregular")
+            raise RuntimeError("radical row is not left-quasiregular")
         witnesses.append(Certificate("quasireg", {
-            "element": tuple(v), "side": "left", "quasi_inverse": tuple(y)}))
+            "element": v, "side": "left", "quasi_inverse": y}))
     return RadicalReport("lqr", rad, route, witnesses)
 
 
@@ -215,29 +188,66 @@ def quasiregular_solve(A, x, side="left"):
     """Solve x + y = yx (left) or x + y = xy (right) for y, or None.
 
     Left quasiregularity is the linear system (R_x - Id) y = x; right uses
-    L_x.  The returned witness is re-verified by direct multiplication.
+    L_x.  With x = X / d for an integer vector X, the system is solved on
+    integer rows scaled by s = D d (see ``AlgebraTable.int_scale``): the
+    columns are the integer products s (e_j x) or s (x e_j), the diagonal
+    loses s, and the right-hand side is D X.  The returned witness is
+    re-verified on integer products.
     """
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     x = A.element(x)
-    op = A.operator_matrix(x, side="right" if side == "left" else "left")
-    m = op - Matrix.identity(A.field, A.dim)
-    y = lin_solve(m, x)
+    F, n, D = A.field, A.dim, A.int_scale
+    xe = int_vector(F, x)
+    xi, dx = xe
+    if side == "left":
+        cols = [A.int_left_mul(j, xi) for j in range(n)]
+    else:
+        cols = [A.int_right_mul(xi, j) for j in range(n)]
+    rows = [[col[i] for col in cols] + [D * xi[i]] for i in range(n)]
+    for i, row in enumerate(rows):
+        row[i] -= D * dx
+    if F.p is not None:
+        rows = [[a % F.p for a in row] for row in rows]
+    y = int_solve(F, rows, n)
     if y is None:
         return None
-    prod = A.multiply(y, x) if side == "left" else A.multiply(x, y)
-    if vec_add(A.field, x, y) != prod:  # linear solve guarantees this
+    prod = _product(A, y, xe) if side == "left" else _product(A, xe, y)
+    if any(_combine(F, (1, xe), (1, y), (-1, prod))[0]):
         raise RuntimeError("quasiregularity witness failed re-verification")
-    return y
+    return from_int_vector(F, *y)
+
+
+# The quasiregular solvers keep an element as a pair ``(ints, den)`` for
+# ``ints / den``, an integer vector and a positive den (see
+# ``exactlin.int_vector``).
+
+def _product(A, u, v):
+    """The pair of u v, den not reduced."""
+    return A.int_multiply(terms(u[0]), terms(v[0])), A.int_scale * u[1] * v[1]
+
+
+def _combine(field, *parts):
+    """The pair of ``sum c u`` over the ``(c, u)`` parts, c a small int:
+    in lowest terms over QQ, in residues over GF(p)."""
+    den = lcm(*[d for _, (_, d) in parts])
+    out = [0] * len(parts[0][1][0])
+    for c, (ints, d) in parts:
+        f = c * (den // d)
+        for k, a in enumerate(ints):
+            if a:
+                out[k] += f * a
+    if field.p is not None:
+        return [a % field.p for a in out], 1
+    g = gcd(den, *out)
+    return [a // g for a in out], den // g
 
 
 @lru_cache(maxsize=256)
 def _lift_context(A):
     _require_radical_preconditions(A)
-    K = commutator_ideal(A, A.full_space())
-    kchain = chain(A, "right", base=K)
-    Q, proj = quotient(A, K)
-    return K, kchain, Q, proj, quotient_section(K)
+    K, Q, proj = _commutative_quotient(A)
+    return K, chain(A, "right", base=K), Q, proj, quotient_section(K)
 
 
 def quasi_inverse_lift(A, x):
@@ -248,40 +258,41 @@ def quasi_inverse_lift(A, x):
     left-normed power of the commutator ideal, the update
     y <- y + v - vy + (v, y, y) pushes v into the (n+1)-st power.  The
     loop ends within the right-nilpotency index of the commutator ideal.
+    The residual and the update run on integer vectors with one
+    denominator in lowest terms.
     Returns (y, certificate), or None when the quotient step is unsolvable
     (x is not left-quasiregular, matching :func:`quasiregular_solve`).
     """
     x = A.element(x)
     F = A.field
     K, kchain, Q, proj, sec = _lift_context(A)
-    xq = proj.mat_vec(x)
-    yq = quasiregular_solve(Q, xq, side="left")
+    yq = quasiregular_solve(Q, proj.mat_vec(x), side="left")
     if yq is None:
         return None
-    y = sec.mat_vec(yq)
-    initial = y
+    initial = sec.mat_vec(yq)
+    xe, y = int_vector(F, x), int_vector(F, initial)
     steps = []
     n = 1
     while True:
-        v = vec_neg(F, vec_sub(F, vec_add(F, x, y), A.multiply(y, x)))
-        if vec_is_zero(v):
+        v = _combine(F, (1, _product(A, y, xe)), (-1, xe), (-1, y))
+        if not any(v[0]):  # x + y = yx
             break
         if n > len(kchain.terms):
             raise RuntimeError("lifting failed to terminate within the "
                                "right-nilpotency index of the commutator ideal")
-        if not kchain.terms[n - 1].contains(v):
+        if not kchain.terms[n - 1].contains_int(v[0]):
             raise RuntimeError(f"lifting residual left power {n} of the commutator ideal")
-        steps.append({"n": n, "residual": tuple(v)})
-        y = vec_add(F, vec_sub(F, vec_add(F, y, v), A.multiply(v, y)),
-                    A.associator(v, y, y))
+        steps.append({"n": n, "residual": from_int_vector(F, *v)})
+        vy = _product(A, v, y)
+        y = _combine(F, (1, y), (1, v), (-1, vy), (1, _product(A, vy, y)),
+                     (-1, _product(A, v, _product(A, y, y))))
         n += 1
-    if vec_add(F, x, y) != A.multiply(y, x):
-        raise RuntimeError("lifted quasi-inverse failed the defining identity")
+    y = from_int_vector(F, *y)
     cert = Certificate("lifting", {
-        "element": tuple(x),
-        "initial_lift": tuple(initial),
+        "element": x,
+        "initial_lift": initial,
         "steps": steps,
-        "quasi_inverse": tuple(y),
+        "quasi_inverse": y,
         "commutator_right_nilpotency_index": kchain.index,
     })
     return y, cert
@@ -430,11 +441,13 @@ def check_certificate(A, cert):
             if not term.contains(step["residual"]):
                 return False
         return True
-    # tower: re-derive both subspaces, so a radical that is too small or
-    # too large fails as well as one that is not an ideal
+    # tower: the containment witness is re-derived on the stored radical,
+    # so a radical that is not solvable fails on it; both subspaces are
+    # then re-derived, so a radical that is too small fails as well
     try:
-        _require_radical_preconditions(A)
         K, rad, _ = _radical_subspace(A)
+        index = chain(A, "derived", base=d["radical"]).index
     except WorkbenchError:
         return False
-    return d["commutator_ideal"] == K and d["radical"] == rad
+    return (index is not None and index == d["radical_derived_index"]
+            and d["commutator_ideal"] == K and d["radical"] == rad)

@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import a2, field_algebra, q_corpus
 from novikov import GF, QQ, AlgebraTable, Subspace
-from novikov.constructions import (example1_algebra, gd_construct, split_idempotents,
-                                   truncated_poly, truncated_poly_derivation,
+from novikov.constructions import (adjoin_unit, direct_sum, example1_algebra,
+                                   gd_construct, random_commutative_pair,
+                                   split_idempotents, truncated_poly,
+                                   truncated_poly_derivation,
                                    weighted_euler_derivation, zero_algebra)
 from novikov.errors import (CharTwoError, NotAnIdealError,
                             NotCommutativeAssociativeError, NotLieSolvableError,
                             PreconditionError, SmallCharacteristicError)
-from novikov.exactlin import vec_add, vec_is_zero
+from novikov.exactlin import Matrix, solve, vec_add, vec_is_zero
 from novikov.ideals import chain, classify, commutator_ideal
+from novikov.oracle import bruteforce_baer_tower
 from novikov.radicals import (Certificate, baer_radical, bound_certificates,
                               check_certificate, lqr_radical, nilradical_commutative,
                               quasi_inverse_lift, quasiregular_solve)
@@ -465,3 +470,81 @@ def test_tower_certificate_fails_where_the_radical_route_does_not_apply():
     cert = tower_certificate(a2())
     assert check_certificate(a2(), cert)
     assert not check_certificate(a2(GF(2)), cert)  # characteristic two
+
+
+def test_tower_certificate_records_the_radical_derived_index():
+    # the containment witness: the radical's derived series reaches zero
+    for name, A in q_corpus():
+        cert = baer_radical(A).witnesses[0]
+        index = cert.data["radical_derived_index"]
+        assert index is not None, name
+        assert index == chain(A, "derived", base=cert.data["radical"]).index, name
+        assert not check_certificate(A, Certificate("tower", dict(
+            cert.data, radical_derived_index=index + 1))), name
+    # on tpoly3u the whole space is not solvable, so no index witnesses it
+    A = truncated_poly(3, unital=True)
+    assert chain(A, "derived", base=A.full_space()).index is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5]), st.randoms(use_true_random=False), st.data())
+def test_tower_certificate_tampering_against_the_oracle(p, rng, data):
+    # random Lie-solvable gd(B, d) over GF(3) up to dim 4 and GF(5) up to
+    # dim 3; the oracle enumerates every point, so its budget is given here.
+    # The radical of such a gd(B, d) is all of it, so a smaller one gets a
+    # random commutative associative summand, whose split and unital blocks
+    # leave elements outside the radical
+    F = GF(p)
+    top = 4 if p == 3 else 3
+    B, d = random_commutative_pair(rng, max_dim=top, field=F)
+    A = gd_construct(B, d)
+    if A.dim < top:
+        A = direct_sum(A, random_commutative_pair(rng, max_dim=top - A.dim, field=F)[0])
+    assume(chain(A, "lie").index is not None)
+    cert = baer_radical(A).witnesses[0]
+    rad = cert.data["radical"]
+    assert rad == bruteforce_baer_tower(A, budget=p ** A.dim)[1]
+    assert check_certificate(A, cert)
+    if rad.dim:
+        drop = data.draw(st.integers(0, rad.dim - 1), label="dropped row")
+        rows = rad.rows[:drop] + rad.rows[drop + 1:]
+        assert not check_certificate(A, tower_certificate(A, radical=span(A, *rows)))
+    if not rad.is_full():
+        outside = data.draw(st.tuples(*[st.integers(0, p - 1)] * A.dim)
+                            .filter(lambda v: not rad.contains(v)), label="added vector")
+        assert not check_certificate(A, tower_certificate(A, radical=rad.sum(span(A, outside))))
+
+
+def scalars(F):
+    if F.p is not None:
+        return st.integers(0, F.p - 1)
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def quasiregular_cases(draw):
+    """(A, x, side): random structure constants of dim 1-3 over QQ, GF(3)
+    or GF(5), optionally with a unit adjoined.  With a unit, x may be 1 + n
+    for n in A: R_x - Id then maps the hull into A, which misses x, so
+    these draws are always unsolvable."""
+    F = draw(st.sampled_from([QQ, GF(3), GF(5)]))
+    dim = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.just(0), scalars(F))
+    products = {(i, j): tuple(draw(entry) for _ in range(dim))
+                for i in range(dim) for j in range(dim)}
+    A = AlgebraTable.from_products(F, dim, products)
+    x = tuple(draw(scalars(F)) for _ in range(dim))
+    if draw(st.booleans()):
+        A = adjoin_unit(A)
+        x += (F.one if draw(st.booleans()) else draw(scalars(F)),)
+    return A, x, draw(st.sampled_from(["left", "right"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quasiregular_cases())
+def test_integer_quasiregular_solve_matches_the_matrix_route(case):
+    A, x, side = case
+    x = A.element(x)
+    op = A.operator_matrix(x, side="right" if side == "left" else "left")
+    expected = solve(op - Matrix.identity(A.field, A.dim), x)
+    assert quasiregular_solve(A, x, side=side) == expected
