@@ -251,9 +251,6 @@ class AlgebraTable:
                     p = [a // g for a in p]
                     den //= g
 
-    def commutator(self, x, y):
-        return vec_sub(self.field, self.multiply(x, y), self.multiply(y, x))
-
     def associator(self, x, y, z):
         """(x, y, z) = (xy)z - x(yz), exactly."""
         lhs = self.multiply(self.multiply(x, y), z)

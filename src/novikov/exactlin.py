@@ -91,10 +91,6 @@ class RationalField(Field):
     def inv(a):
         return 1 / a
 
-    @staticmethod
-    def div(a, b):
-        return a / b
-
     def of_int(self, n):
         return Fraction(n)
 
@@ -142,9 +138,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero residue")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def of_int(self, n):
         return n % self.p
@@ -200,23 +193,10 @@ def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
-def vec_neg(field, u):
-    return tuple(field.neg(a) for a in u)
-
-
 def vec_scale(field, c, u):
     if not c:
         return vec_zeros(field, len(u))
     return tuple(field.mul(c, a) for a in u)
-
-
-def vec_dot(field, u, v):
-    _check_len(u, v)
-    s = field.zero
-    for a, b in zip(u, v):
-        if a and b:
-            s = field.add(s, field.mul(a, b))
-    return s
 
 
 def vec_is_zero(u):
@@ -318,10 +298,6 @@ class Matrix:
         F = self.field
         return Matrix(F, [vec_sub(F, a, b) for a, b in zip(self.rows, other.rows)],
                       ncols=self.ncols)
-
-    def __neg__(self):
-        F = self.field
-        return Matrix(F, [vec_neg(F, r) for r in self.rows], ncols=self.ncols)
 
     def __mul__(self, other):
         self._check_compatible(other, same_shape=False)
@@ -607,16 +583,15 @@ class Subspace:
             return other
         if other.is_full():
             return self
-        # columns = both bases; kernel vectors give coefficient pairs (a, b)
-        # with a-combination = -(b-combination), i.e. intersection elements
-        cols = self.int_rows + other.int_rows
-        mine = self.int_rows
+        # Zassenhaus: echelon [u | u] for u in U and [v | 0] for v in V; the
+        # rows with a pivot in the right half are [0 | w] for the canonical
+        # rows w of U & V
         F, n = self.field, self.ambient_dim
-        ker = _kernel_vectors(F, [[col[t] for col in cols] for t in range(n)], len(cols))
-        vecs = (int_tidy(F, [sum(w[i] * row[t] for i, row in enumerate(mine))
-                             for t in range(n)]) for w in ker)
-        rows, pivots = _echelon(F, vecs)
-        return Subspace(F, n, rows, pivots)
+        zeros = (0,) * n
+        rows, pivots = _echelon(F, [u + u for u in self.int_rows]
+                                + [v + zeros for v in other.int_rows])
+        k = bisect_left(pivots, n)
+        return Subspace(F, n, [r[n:] for r in rows[k:]], [q - n for q in pivots[k:]])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field
@@ -634,31 +609,6 @@ class Subspace:
 # ---------------------------------------------------------------------------
 # solving and kernels
 # ---------------------------------------------------------------------------
-
-def _row_reduce(field, rows, pivot_limit):
-    """Fraction-free Gauss-Jordan on integer rows; pivots only in the
-    first ``pivot_limit`` columns.  Returns (rows, pivot_columns): every
-    pivot row is canonical (see :class:`Subspace`) and zero at the other
-    pivots, and a changed row is divided by its content (reduced to
-    residues over GF(p)) once per elimination."""
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(pivot_limit):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        row = work[r] = _normalized(field, work[r], c)
-        s = row[c]
-        for i, other in enumerate(work):
-            f = other[c]
-            if f and i != r:
-                work[i] = int_tidy(field, _cleared(other, f, s, row)[0])
-        pivots.append(c)
-        r += 1
-    return work, pivots
-
 
 def _int_rows(M):
     return [int_vector(M.field, r)[0] for r in M.rows]
@@ -684,8 +634,8 @@ def int_solve(field, rows, n):
     augmented rows ``[M | b]`` are given (n unknowns), or None if it is
     inconsistent.  Every free variable is zero.  Over GF(p) the rows must
     hold residues, and den is 1."""
-    work, pivots = _row_reduce(field, rows, n)
-    if any(row[n] for row in work[len(pivots):]):
+    work, pivots = _echelon(field, rows)
+    if pivots and pivots[-1] == n:  # a pivot in the right-hand side column
         return None
     den = lcm(*[row[q] for row, q in zip(work, pivots)])
     y = [0] * n
@@ -694,31 +644,25 @@ def int_solve(field, rows, n):
     return y, den
 
 
-def _kernel_vectors(field, rows, ncols):
-    """Integer null-space basis of integer rows, one vector per free
-    column."""
-    work, pivots = _row_reduce(field, rows, ncols)
+def kernel(M):
+    """Null space ``{v : M v = 0}`` as a canonical subspace: one integer
+    vector per free column of the echelon rows, echeloned in turn."""
+    F, n = M.field, M.ncols
+    work, pivots = _echelon(F, _int_rows(M))
     den = lcm(*[row[q] for row, q in zip(work, pivots)])
     pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
+    for free in range(n):
         if free in pivot_set:
             continue
-        v = [0] * ncols
+        v = [0] * n
         v[free] = den
         for row, q in zip(work, pivots):
             v[q] = -row[free] * (den // row[q])
-        basis.append(int_tidy(field, v))
-    return basis
-
-
-def kernel(M):
-    """Null space ``{v : M v = 0}`` as a canonical subspace."""
-    F = M.field
-    rows, pivots = _echelon(F, _kernel_vectors(F, _int_rows(M), M.ncols))
-    return Subspace(F, M.ncols, rows, pivots)
+        basis.append(int_tidy(F, v))
+    rows, pivots = _echelon(F, basis)
+    return Subspace(F, n, rows, pivots)
 
 
 def rank(M):
-    _, pivots = _row_reduce(M.field, _int_rows(M), pivot_limit=M.ncols)
-    return len(pivots)
+    return len(_echelon(M.field, _int_rows(M))[0])

@@ -59,10 +59,11 @@ class RadicalReport:
 def nilradical_commutative(A):
     """Nilpotent elements of a commutative associative algebra as a subspace.
 
-    Route: adjoin a unit, take the kernel of the trace form
-    beta(x, y) = trace(L_{xy}) on the hull, and intersect with A.  Over
-    GF(p) the trace argument needs p > dim, otherwise the caller must fall
-    back to exhaustive enumeration.
+    Route: adjoin a unit and take the kernel in A of the trace form
+    beta(x, y) = trace(L_{xy}) on the hull: the ``a`` in A with
+    ``beta(a, y) = 0`` for every y in the hull.  Over GF(p) the trace
+    argument needs p > dim, otherwise the caller must fall back to
+    exhaustive enumeration.
     """
     if not verify_identity(A, "commutative").ok or not verify_identity(A, "associative").ok:
         raise NotCommutativeAssociativeError(
@@ -73,19 +74,17 @@ def nilradical_commutative(A):
             f"trace form is unreliable for p = {F.p} <= dim = {A.dim}; "
             "use the enumeration (oracle) route")
     hull = adjoin_unit(A)
-    n = hull.dim
-    traces = [hull.operator_matrix(hull.basis_vector(k), side="left").trace()
+    n, d = hull.dim, A.dim
+    # trace(L_{e_k}): the coefficient of e_i in e_k e_i, summed over i
+    traces = [sum(c for i, ts in enumerate(hull.index[k]) for t, c in ts if t == i)
               for k in range(n)]
-    gram = [[F.zero] * n for _ in range(n)]
-    for i, j, terms in hull.nonzero_products():
-        gram[i][j] = sum(c * traces[k] for k, c in terms)
-    rad_hull = kernel(Matrix(F, gram, ncols=n))
-    # A sits in the hull as the first dim coordinates; nilpotents of the
-    # hull already avoid the unit coordinate, the intersection is a guard
-    embedded = Subspace.span(
-        F, [A.basis_vector(i) + (F.zero,) for i in range(A.dim)], n)
-    inter = rad_hull.intersect(embedded)
-    return Subspace.span(F, [v[:A.dim] for v in inter.rows], A.dim)
+    # A sits in the hull as the first d coordinates; beta is symmetric, so
+    # row j of the Gram matrix on those columns is beta(e_j, -) on A
+    gram = [[F.zero] * d for _ in range(n)]
+    for j, i, terms in hull.nonzero_products():
+        if i < d:
+            gram[j][i] = sum(c * traces[k] for k, c in terms)
+    return kernel(Matrix(F, gram, ncols=d))
 
 
 def _nilradical_by_enumeration(A):

@@ -4,6 +4,10 @@
 a verified Novikov algebra, hence Lie-solvable in characteristic zero);
 ``gf3_population`` and ``gf2_population`` are the small prime-field
 populations used against the brute-force oracle.
+
+``ref_gauss_jordan`` is the textbook elimination on field scalars that the
+integer echelon rows are checked against, with the spans, kernels and
+solutions read from it.
 """
 
 import random
@@ -150,3 +154,58 @@ def gf2_commutative_population():
             out.append((name, algebra))
     assert len(out) >= 8
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# textbook Gauss-Jordan on field scalars
+# ---------------------------------------------------------------------------
+
+def ref_gauss_jordan(F, rows, pivot_limit):
+    """Reduced row-echelon form by textbook Gauss-Jordan with the field's
+    own operations (``Fraction`` over QQ): (nonzero rows, pivot columns)."""
+    work = [[F.coerce(a) for a in r] for r in rows]
+    pivots = []
+    for c in range(pivot_limit):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = F.inv(work[r][c])
+        work[r] = [F.mul(inv, a) for a in work[r]]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != r and f:
+                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return [tuple(r) for r in work[:len(pivots)]], pivots
+
+
+def ref_span(F, vectors, n):
+    """Reduced row-echelon rows of the span, as ``Subspace.rows`` holds them."""
+    return tuple(ref_gauss_jordan(F, vectors, n)[0])
+
+
+def ref_kernel(F, rows, ncols):
+    """Reduced row-echelon rows of the null space of the matrix ``rows``."""
+    work, pivots = ref_gauss_jordan(F, rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero] * ncols
+        v[free] = F.one
+        for row, q in zip(work, pivots):
+            v[q] = F.neg(row[free])
+        basis.append(v)
+    return ref_span(F, basis, ncols)
+
+
+def ref_solve(F, rows, b, ncols):
+    """The solution of ``rows @ y = b`` with every free variable zero, or
+    None when the system is inconsistent."""
+    work, pivots = ref_gauss_jordan(F, [list(r) + [c] for r, c in zip(rows, b)], ncols + 1)
+    if ncols in pivots:  # a pivot in the right-hand side column
+        return None
+    y = [F.zero] * ncols
+    for row, q in zip(work, pivots):
+        y[q] = row[ncols]
+    return tuple(y)

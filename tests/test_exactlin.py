@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import ref_gauss_jordan, ref_kernel, ref_solve, ref_span
 from novikov.errors import DimensionMismatchError, FieldMismatchError
 from novikov.exactlin import (GF, QQ, Matrix, Subspace, coerce_vector, kernel, rank,
                               solve)
@@ -309,31 +310,6 @@ def test_matrix_immutable():
 KERNEL_FIELDS = (QQ, GF(2), GF(3), GF(5))
 
 
-def ref_gauss_jordan(F, rows, pivot_limit):
-    """Reduced row-echelon form by textbook Gauss-Jordan with the field's
-    own operations (``Fraction`` over QQ): (nonzero rows, pivot columns)."""
-    work = [[F.coerce(a) for a in r] for r in rows]
-    pivots = []
-    for c in range(pivot_limit):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = F.inv(work[r][c])
-        work[r] = [F.mul(inv, a) for a in work[r]]
-        for i in range(len(work)):
-            f = work[i][c]
-            if i != r and f:
-                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-    return [tuple(r) for r in work[:len(pivots)]], pivots
-
-
-def ref_span(F, vectors, n):
-    return tuple(ref_gauss_jordan(F, vectors, n)[0])
-
-
 def ref_residual(F, vectors, n, v):
     rows, pivots = ref_gauss_jordan(F, vectors, n)
     out = [F.coerce(a) for a in v]
@@ -341,28 +317,6 @@ def ref_residual(F, vectors, n, v):
         c = out[q]
         out = [F.sub(a, F.mul(c, b)) for a, b in zip(out, row)]
     return tuple(out)
-
-
-def ref_kernel(F, rows, ncols):
-    work, pivots = ref_gauss_jordan(F, rows, ncols)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [F.zero] * ncols
-        v[free] = F.one
-        for row, q in zip(work, pivots):
-            v[q] = F.neg(row[free])
-        basis.append(v)
-    return ref_span(F, basis, ncols)
-
-
-def ref_solve(F, rows, b, ncols):
-    work, pivots = ref_gauss_jordan(F, [list(r) + [c] for r, c in zip(rows, b)], ncols + 1)
-    if ncols in pivots:  # a pivot in the right-hand side column
-        return None
-    y = [F.zero] * ncols
-    for row, q in zip(work, pivots):
-        y[q] = row[ncols]
-    return tuple(y)
 
 
 def kernel_scalars(F):

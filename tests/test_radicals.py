@@ -82,9 +82,10 @@ def test_nilradical_trace_route_matches_enumeration():
     # both routes are available over GF(p) with p > dim: they must agree
     from novikov.constructions import direct_sum
     from novikov.oracle import bruteforce_nilpotents
+    samples = []
     for p in (5, 7):
         F = GF(p)
-        samples = [
+        samples += [
             truncated_poly(3, field=F),
             truncated_poly(4, field=F),
             truncated_poly(3, unital=True, field=F),
@@ -92,11 +93,19 @@ def test_nilradical_trace_route_matches_enumeration():
             direct_sum(split_idempotents(1, field=F), truncated_poly(3, field=F)),
             zero_algebra(2, field=F),
         ]
-        for A in samples:
-            trace_route = nilradical_commutative(A)
-            enumeration = Subspace.span(F, bruteforce_nilpotents(A, budget=400),
-                                        A.dim)
-            assert trace_route == enumeration
+    # p = dim + 1, the hull's dimension: trace(L_unit) = p = 0, so the
+    # hull's trace-form kernel holds the unit, which lies outside A
+    F3, F5 = GF(3), GF(5)
+    samples += [
+        truncated_poly(3, field=F3),
+        truncated_poly(5, field=F5),
+        direct_sum(split_idempotents(1, field=F5), truncated_poly(4, field=F5)),
+        direct_sum(split_idempotents(2, field=F5), truncated_poly(3, field=F5)),
+    ]
+    for A in samples:
+        trace_route = nilradical_commutative(A)
+        enumeration = Subspace.span(A.field, bruteforce_nilpotents(A, budget=625), A.dim)
+        assert trace_route == enumeration
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The sparse arithmetic core against dense references written here.
+"""The sparse arithmetic core against dense references.
 
 ``multiply``, ``is_ideal``, the failure reports of ``verify_identity``, the
 bound certificates, echelon spans, subspace products, ideal closures,
 generated subalgebras and ``solve``/``kernel``/``rank`` are each compared
 with a plain dense or round-based computation over QQ, GF(3) and GF(5).
+The dense references are written here, except the textbook Gauss-Jordan,
+which ``corpus`` shares with ``test_exactlin``.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import a2, field_algebra
+from corpus import a2, field_algebra, ref_gauss_jordan, ref_kernel, ref_solve, ref_span
 from novikov import GF, QQ, AlgebraTable, Matrix, Subspace
 from novikov import ideals, radicals
 from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
@@ -577,34 +579,6 @@ def test_check_certificate_rederives_from_a_fresh_walk(monkeypatch):
 # echelon insertion: spans, products, closures, solving
 # ---------------------------------------------------------------------------
 
-def ref_row_reduce(F, rows, pivot_limit):
-    """Textbook Gauss-Jordan through the field's own methods:
-    (rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(pivot_limit):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != F.zero), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = F.inv(work[r][c])
-        work[r] = [F.mul(inv, a) for a in work[r]]
-        for i in range(len(work)):
-            f = work[i][c]
-            if i != r and f != F.zero:
-                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return work, pivots
-
-
-def ref_span(F, vectors, n):
-    """Reduced row-echelon rows of the span, as ``Subspace.rows`` holds them."""
-    work, pivots = ref_row_reduce(F, [[F.coerce(a) for a in v] for v in vectors], n)
-    return tuple(tuple(r) for r in work[:len(pivots)])
-
-
 def round_closure(A, S):
     """Ideal closure by rounds: U <- U + AU + UA until nothing changes."""
     e = A.basis_vectors()
@@ -721,45 +695,18 @@ def linear_systems(draw):
     return Matrix(F, rows, ncols=ncols), b
 
 
-def ref_solve(M, b):
-    F = M.field
-    work, pivots = ref_row_reduce(F, [list(r) + [c] for r, c in zip(M.rows, b)],
-                                  M.ncols)
-    if any(row[M.ncols] != F.zero for row in work[len(pivots):]):
-        return None
-    y = [F.zero] * M.ncols
-    for i, p in enumerate(pivots):
-        y[p] = work[i][M.ncols]
-    return tuple(y)
-
-
-def ref_kernel(M):
-    F = M.field
-    work, pivots = ref_row_reduce(F, M.rows, M.ncols)
-    basis = []
-    for free in range(M.ncols):
-        if free not in pivots:
-            v = [F.zero] * M.ncols
-            v[free] = F.one
-            for i, p in enumerate(pivots):
-                v[p] = F.neg(work[i][free])
-            basis.append(v)
-    return ref_span(F, basis, M.ncols), len(pivots)
-
-
 @settings(max_examples=200, deadline=None)
 @given(linear_systems())
 def test_solve_kernel_rank_match_reference_gauss_jordan(system):
     M, b = system
     F = M.field
     y = solve(M, b)
-    assert y == ref_solve(M, b)
+    assert y == ref_solve(F, M.rows, b, M.ncols)
     if y is not None:
         assert canonical_types(F, y)
     K = kernel(M)
-    want_kernel, want_rank = ref_kernel(M)
-    assert K.rows == want_kernel
-    assert rank(M) == want_rank
+    assert K.rows == ref_kernel(F, M.rows, M.ncols)
+    assert rank(M) == len(ref_gauss_jordan(F, M.rows, M.ncols)[1])
     assert all(canonical_types(F, r) for r in K.rows)
 
 
