@@ -312,19 +312,6 @@ class Matrix:
         c = F.coerce(c)
         return Matrix(F, [vec_scale(F, c, r) for r in self.rows], ncols=self.ncols)
 
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)],
-                      ncols=self.nrows)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatchError("trace of a non-square matrix")
-        F = self.field
-        s = F.zero
-        for i in range(self.nrows):
-            s = F.add(s, self.rows[i][i])
-        return s
-
     def is_zero(self):
         return all(vec_is_zero(r) for r in self.rows)
 

@@ -5,21 +5,29 @@ of vectors p^dim); exceeding the budget is a hard error, never a silent
 truncation, and it is raised before anything is enumerated.  Enumeration
 orders are deterministic, so downstream reports are byte-reproducible.
 
-Every ideal-based answer is read off one lattice: :func:`enumerate_ideals`
-filters the subspaces of A once per (algebra, budget) and memoizes the
-result.  The Baer tower walks that list through the correspondence
-theorem, and both quotient intersections iterate the same list.
+Membership is decided on point sets.  A point's code is its index in
+:func:`enumerate_vectors` order, the base-p integer of its coordinates,
+and a subspace is held with the bitmask of the codes of its p^k points.
+The subspaces of GF(p)^dim and their masks are listed once per (p, dim)
+and shared by every algebra of that dimension.
+:func:`enumerate_ideals` keeps a subspace S when the point of every
+``e_i r`` and ``r e_i``, r a row of S, lies in S's mask, and memoizes the
+result per (algebra, budget); it never calls the echelon ideal test it is
+meant to check.  The Baer tower walks that list through the
+correspondence theorem with mask tests, and both quotient intersections
+iterate the same list.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import add
 
-from .core import verify_identity
+from .core import terms, verify_identity
 from .errors import BudgetExceededError, WorkbenchError
-from .exactlin import Subspace, vec_is_zero
-from .ideals import _quotient, is_ideal, subspace_product
+from .exactlin import Subspace, int_solve
+from .ideals import _quotient
 
 DEFAULT_BUDGET = 81  # 3^4 coordinate vectors
 
@@ -72,26 +80,79 @@ def enumerate_subspaces(field, dim, budget=None):
                 yield Subspace(field, dim, rows, pivots)
 
 
+def _point_code(p, v):
+    """The index of the point v of GF(p)^dim in :func:`enumerate_vectors`
+    order: its coordinates, reduced mod p, as base-p digits, the first the
+    most significant."""
+    code = 0
+    for a in v:
+        code = code * p + a % p
+    return code
+
+
+@lru_cache(maxsize=16)
+def _subspace_lattice(field, dim):
+    """``{S: mask}`` over every subspace S of GF(p)^dim, in the order of
+    :func:`enumerate_subspaces`; bit c of mask is set when the point of
+    code c lies in S.  It does not depend on any algebra or budget, so
+    every algebra of one (p, dim) shares one enumeration; callers check
+    their budget first."""
+    p = field.p
+    lattice = {}
+    for S in enumerate_subspaces(field, dim, p ** dim):
+        points = [(0,) * dim]  # integer combinations of the rows, unreduced
+        for row in S.int_rows:
+            multiples = [[c * b for b in row] for c in range(p)]
+            points = [tuple(map(add, v, m)) for v in points for m in multiples]
+        mask = 0
+        for v in points:
+            mask |= 1 << _point_code(p, v)
+        lattice[S] = mask
+    return lattice
+
+
 @lru_cache(maxsize=256)
 def enumerate_ideals(A, budget=None):
     """Every ideal of A, in the order of :func:`enumerate_subspaces`.
+
+    S is an ideal when ``e_i r`` and ``r e_i`` lie in S for every row r of
+    S and every i.  The points of those products form one image mask per
+    row, computed once for all the subspaces that share the row, and S
+    passes when no image has a bit outside S's mask.
 
     Memoized per ``(A, budget)``; the tuple keeps the shared lattice safe
     from callers.  The oracle's own callers pass the budget resolved by
     :func:`_check_budget`, so they share one entry per algebra.
     """
     _check_budget(A.field, A.dim, budget)
-    return tuple(S for S in enumerate_subspaces(A.field, A.dim, budget)
-                 if is_ideal(A, S))
+    p = A.field.p
+    images = {}
+
+    def image(r):
+        mask = images.get(r)
+        if mask is None:
+            mask = 0
+            for i in range(A.dim):
+                mask |= ((1 << _point_code(p, A.int_left_mul(i, r)))
+                         | (1 << _point_code(p, A.int_right_mul(r, i))))
+            images[r] = mask
+        return mask
+
+    return tuple(S for S, mask in _subspace_lattice(A.field, A.dim).items()
+                 if not any(image(r) & ~mask for r in S.int_rows))
 
 
 def power_iteration_index(A, x, max_exponent):
-    """Smallest n <= max_exponent with x^n = 0 by direct iteration, or None."""
-    p = tuple(x)
+    """Smallest n <= max_exponent with x^n = 0 by direct iteration, or None.
+
+    The powers are the integer products of ``AlgebraTable.int_multiply``:
+    D^(n-1) x^n, which is zero exactly when x^n is (D = 1 over GF(p))."""
+    xs = terms(x)
+    power = x
     for n in range(1, max_exponent + 1):
-        if vec_is_zero(p):
+        if not any(power):
             return n
-        p = A.multiply(p, x)
+        power = A.int_multiply(terms(power), xs)
     return None
 
 
@@ -104,6 +165,14 @@ def bruteforce_nilpotents(A, budget=None):
     return out
 
 
+def _square_inside(A, I, held):
+    """Whether I I lies in the subspace with point mask ``held``: the point
+    of the product of every ordered pair of I's rows is in it."""
+    p = A.field.p
+    rows = [terms(r) for r in I.int_rows]
+    return all(held >> _point_code(p, A.int_multiply(u, v)) & 1 for u in rows for v in rows)
+
+
 def bruteforce_baer_tower(A, budget=None):
     """The radical tower by definition: stage one is the sum of all trivial
     ideals, and each later stage is the preimage of the sum of all trivial
@@ -114,35 +183,51 @@ def bruteforce_baer_tower(A, budget=None):
     theorem an ideal of A/J is I/J for an ideal I of A that contains J,
     and I/J is trivial exactly when I I lies in J; the preimage of their
     sum is the sum of those I.  An I already inside the running sum adds
-    nothing and is skipped.
+    nothing and is skipped.  Containments are tests on point masks; a sum
+    of ideals is a subspace, so the lattice holds its mask.
     """
     budget = _check_budget(A.field, A.dim, budget)
-    ideals = enumerate_ideals(A, budget)
+    lattice = _subspace_lattice(A.field, A.dim)
+    ideals = [(I, lattice[I]) for I in enumerate_ideals(A, budget)]
     tower = []
-    current = Subspace.zero(A.field, A.dim)
+    current, held = Subspace.zero(A.field, A.dim), 1  # bit 0: the origin
     while True:
-        nxt = current
-        for I in ideals:
-            if (current.is_subspace_of(I) and not I.is_subspace_of(nxt)
-                    and subspace_product(A, I, I).is_subspace_of(current)):
+        nxt, grown = current, held
+        for I, mask in ideals:
+            if (mask & held == held and mask & ~grown
+                    and _square_inside(A, I, held)):
                 nxt = nxt.sum(I)
-        if nxt == current:
+                grown = lattice[nxt]
+        if grown == held:
             break
         tower.append(nxt)
-        current = nxt
+        current, held = nxt, grown
     if not tower:
         tower = [current]
     return tower, current
 
 
-def _find_unit(A, points):
-    basis = A.basis_vectors()
-    for u in points:
-        if vec_is_zero(u):
-            continue
-        if all(A.multiply(u, e) == e and A.multiply(e, u) == e for e in basis):
-            return u
-    return None
+def _find_unit(A):
+    """The two-sided unit of A over GF(p), or None when A has none.
+
+    u is a unit exactly when ``u e_j = e_j = e_j u`` for every j, a linear
+    system in u's coordinates whose rows are read off the structure
+    constants; a unit is unique, so the system has one solution or none.
+    In dimension 0 the unit is the empty vector.
+    """
+    n = A.dim
+    rows = []
+    for j in range(n):
+        left = [[0] * n + [int(k == j)] for k in range(n)]   # u e_j = e_j
+        right = [[0] * n + [int(k == j)] for k in range(n)]  # e_j u = e_j
+        for i in range(n):
+            for k, c in A.index[i][j]:
+                left[k][i] = c
+            for k, c in A.index[j][i]:
+                right[k][i] = c
+        rows += left + right
+    solution = int_solve(A.field, rows, n)
+    return None if solution is None else tuple(solution[0])
 
 
 def _is_integral_domain(Q, budget):
@@ -152,29 +237,28 @@ def _is_integral_domain(Q, budget):
         return True
     if not (verify_identity(Q, "commutative").ok and verify_identity(Q, "associative").ok):
         return False
-    points = [x for x in enumerate_vectors(Q.field, Q.dim, budget)
-              if not vec_is_zero(x)]
-    for x in points:
-        for y in points:
-            if vec_is_zero(Q.multiply(x, y)):
+    nonzero = [terms(x) for x in enumerate_vectors(Q.field, Q.dim, budget) if any(x)]
+    for xs in nonzero:
+        for ys in nonzero:
+            if not any(Q.int_multiply(xs, ys)):
                 return False
     return True
 
 
 def _is_field_algebra(Q, budget):
     """Nonzero, commutative associative, with a unit and every nonzero
-    element invertible; all checked exhaustively."""
+    element invertible; the inverses are searched exhaustively."""
     if Q.dim == 0:
         return False
     if not (verify_identity(Q, "commutative").ok and verify_identity(Q, "associative").ok):
         return False
-    points = enumerate_vectors(Q.field, Q.dim, budget)
-    unit = _find_unit(Q, points)
+    unit = _find_unit(Q)
     if unit is None:
         return False
-    nonzero = [x for x in points if not vec_is_zero(x)]
-    for x in nonzero:
-        if not any(Q.multiply(x, y) == unit for y in nonzero):
+    unit = list(unit)
+    nonzero = [terms(x) for x in enumerate_vectors(Q.field, Q.dim, budget) if any(x)]
+    for xs in nonzero:
+        if not any(Q.int_multiply(xs, ys) == unit for ys in nonzero):
             return False
     return True
 
@@ -192,7 +276,7 @@ def quotient_intersection(A, kind, budget=None):
     budget = _check_budget(A.field, A.dim, budget)
     test = _is_integral_domain if kind == "domain" else _is_field_algebra
     result = Subspace.full(A.field, A.dim)
-    for I in enumerate_ideals(A, budget):  # ideals already: no is_ideal re-test
+    for I in enumerate_ideals(A, budget):  # ideals already: no re-test
         Q, _proj = _quotient(A, I)
         if test(Q, budget):
             result = result.intersect(I)

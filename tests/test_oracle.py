@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import a2, field_algebra, gf2_commutative_population, gf3_population
 from novikov import GF, QQ, AlgebraTable, Subspace, oracle
-from novikov.constructions import zero_algebra
+from novikov.constructions import adjoin_unit, zero_algebra
 from novikov.core import verify_identity
 from novikov.errors import BudgetExceededError, WorkbenchError
 from novikov.ideals import (commutator_ideal, is_ideal, is_trivial_ideal,
@@ -295,6 +295,8 @@ def test_lattice_route_on_field_algebra():
 
 
 def test_one_enumeration_serves_tower_and_both_intersections(monkeypatch):
+    # the subspace lattice is listed once per (p, dim): a second algebra of
+    # the same dimension, and another budget, read the same lattice
     calls, items = [], []
     real = oracle.enumerate_subspaces
 
@@ -306,11 +308,16 @@ def test_one_enumeration_serves_tower_and_both_intersections(monkeypatch):
 
     monkeypatch.setattr(oracle, "enumerate_subspaces", counting)
     oracle.enumerate_ideals.cache_clear()
+    oracle._subspace_lattice.cache_clear()
     A = AlgebraTable.from_products(F3, 3, {(0, 0): (0, 1, 0), (0, 1): (0, 0, 1),
                                            (2, 2): (0, 0, 1)})
-    bruteforce_baer_tower(A)
-    quotient_intersection(A, "domain")
-    quotient_intersection(A, "field")
+    B = AlgebraTable.from_products(F3, 3, {(0, 0): (1, 0, 0), (1, 2): (0, 1, 2)})
+    assert A != B
+    for C in (A, B):
+        bruteforce_baer_tower(C)
+        quotient_intersection(C, "domain")
+        quotient_intersection(C, "field")
+    bruteforce_baer_tower(B, budget=27)
     assert len(calls) == 1
     assert len(items) == sum(gaussian_binomial(3, k, 3) for k in range(4))
     assert isinstance(enumerate_ideals(A, 81), tuple)
@@ -321,6 +328,7 @@ def test_refusals_come_before_any_enumeration(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_subspaces",
                         lambda *args: calls.append(args) or iter(()))
     oracle.enumerate_ideals.cache_clear()
+    oracle._subspace_lattice.cache_clear()
     big = zero_algebra(5, field=F3)
     small = zero_algebra(3, field=F3)
     with pytest.raises(BudgetExceededError):
@@ -341,3 +349,79 @@ def test_refusals_come_before_any_enumeration(monkeypatch):
     with pytest.raises(WorkbenchError):
         enumerate_ideals(a2())
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# point masks against the echelon routes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,dim", [(2, 3), (3, 2), (3, 3), (5, 2)])
+def test_point_masks_index_enumerate_vectors(p, dim):
+    F = GF(p)
+    points = enumerate_vectors(F, dim)
+    assert [oracle._point_code(p, v) for v in points] == list(range(p ** dim))
+    lattice = oracle._subspace_lattice(F, dim)
+    assert list(lattice) == list(enumerate_subspaces(F, dim, p ** dim))
+    for S, mask in lattice.items():
+        assert mask == sum(1 << c for c, v in enumerate(points) if S.contains(v))
+
+
+def one_sided(p, left):
+    """dim 2 with one product, e2 e1 = e1 (left) or e1 e2 = e1: span(e2)
+    is a left ideal and not a right ideal in the first, the mirror image
+    in the second."""
+    return AlgebraTable.from_products(GF(p), 2, {(1, 0) if left else (0, 1): (1, 0)})
+
+
+def test_one_sided_ideals_are_not_ideals():
+    for p in (2, 3, 5):
+        for left in (True, False):
+            A = one_sided(p, left)
+            U = Subspace.span(A.field, [A.basis_vector(1)], 2)
+            basis = A.basis_vectors()
+            assert all(U.contains(A.multiply(e, u)) for e in basis for u in U.rows) == left
+            assert all(U.contains(A.multiply(u, e)) for e in basis for u in U.rows) != left
+            assert not is_ideal(A, U)
+            assert U not in enumerate_ideals(A, p ** 2)
+
+
+@st.composite
+def sparse_prime_field_tables(draw):
+    """Tables over GF(2), GF(3) or GF(5) up to dim 4 (at most 625 points),
+    about half of whose structure constants are zero, so that proper
+    ideals are common."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    dim = draw(st.integers(1, 4))
+    cube = [[[draw(st.integers(0, p - 1)) if draw(st.booleans()) else 0
+              for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    return AlgebraTable(GF(p), cube)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_prime_field_tables())
+@example(one_sided(3, left=True))
+@example(one_sided(5, left=False))
+@example(zero_algebra(4, field=GF(5)))
+def test_ideal_masks_match_the_echelon_ideal_test(A):
+    budget = A.field.p ** A.dim
+    assert enumerate_ideals(A, budget) == tuple(
+        S for S in enumerate_subspaces(A.field, A.dim, budget) if is_ideal(A, S))
+
+
+def exhaustive_unit(A):
+    """The first nonzero point u with u x = x = x u for every point x."""
+    points = enumerate_vectors(A.field, A.dim, A.field.p ** A.dim)
+    for u in points:
+        if any(u) and all(A.multiply(u, x) == x == A.multiply(x, u) for x in points):
+            return u
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_prime_field_tables())
+@example(field_algebra(field=F3))
+@example(AlgebraTable.from_products(F3, 2, {(0, 0): (1, 0), (0, 1): (0, 1)}))  # left unit e1
+def test_find_unit_matches_exhaustive_search(A):
+    for B in (A, adjoin_unit(A)):
+        assert oracle._find_unit(B) == exhaustive_unit(B)
+    assert oracle._find_unit(adjoin_unit(A)) is not None
