@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .exactlin import (Matrix, Subspace, coerce_vector, from_int_vector, int_vector,
+from .exactlin import (Subspace, coerce_vector, from_int_vector, int_vector,
                        vec_sub, vec_zeros)
 
 
@@ -138,13 +138,6 @@ class AlgebraTable:
     def element(self, coords):
         return coerce_vector(self.field, coords, self.dim)
 
-    def random_element(self, rng, spread=2):
-        """Deterministic-for-seed sample with small integer coordinates."""
-        F = self.field
-        if F.p is None:
-            return tuple(F.of_int(rng.randint(-spread, spread)) for _ in range(self.dim))
-        return tuple(rng.randrange(F.p) for _ in range(self.dim))
-
     def full_space(self):
         return Subspace.full(self.field, self.dim)
 
@@ -167,22 +160,6 @@ class AlgebraTable:
         xi, dx = int_vector(F, x)
         yi, dy = int_vector(F, y)
         return from_int_vector(F, self.int_multiply(terms(xi), terms(yi)), dx * dy * self._den)
-
-    def left_basis_mul(self, i, v):
-        """``e_i v``, read from the index."""
-        F = self.field
-        if F.p is not None:
-            return tuple(self.int_left_mul(i, v))
-        vi, dv = int_vector(F, v)
-        return from_int_vector(F, self.int_left_mul(i, vi), dv * self._den)
-
-    def right_basis_mul(self, v, k):
-        """``v e_k``, read from the index."""
-        F = self.field
-        if F.p is not None:
-            return tuple(self.int_right_mul(v, k))
-        vi, dv = int_vector(F, v)
-        return from_int_vector(F, self.int_right_mul(vi, k), dv * self._den)
 
     # Integer vectors (see ``exactlin.int_vector``): each product below is
     # D times the product of its integer arguments, accumulated in plain
@@ -256,17 +233,6 @@ class AlgebraTable:
         lhs = self.multiply(self.multiply(x, y), z)
         rhs = self.multiply(x, self.multiply(y, z))
         return vec_sub(self.field, lhs, rhs)
-
-    def operator_matrix(self, x, side="right"):
-        """Matrix of right (v -> vx) or left (v -> xv) multiplication by x."""
-        self._check_element(x)
-        if side == "right":
-            cols = [self.left_basis_mul(j, x) for j in range(self.dim)]
-        elif side == "left":
-            cols = [self.right_basis_mul(x, j) for j in range(self.dim)]
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     # -- powers ------------------------------------------------------------
 

@@ -190,8 +190,9 @@ def parse_algebra_source(text):
                 ptok = lp.next(NUMBER, what="a prime modulus")
                 try:
                     field = GF(int(ptok[1]))
-                except ValueError:
-                    raise ParseError(f"modulus {ptok[1]} is not prime",
+                except ValueError as exc:  # not prime, or over the bound
+                    raise ParseError(str(exc) if ptok[1].isdigit() else
+                                     f"modulus {ptok[1]} is not prime",
                                      ptok[2], ptok[3]) from None
             else:
                 raise ParseError(f"unknown field {tok[1]!r}", tok[2], tok[3])

@@ -31,10 +31,6 @@ class CharTwoError(WorkbenchError):
     code = "CHAR_TWO_UNSUPPORTED"
 
 
-class SmallCharacteristicError(WorkbenchError):
-    code = "SMALL_CHARACTERISTIC"
-
-
 class NotCommutativeAssociativeError(WorkbenchError):
     code = "NOT_COMMUTATIVE_ASSOCIATIVE"
 

@@ -24,16 +24,24 @@ from math import gcd, lcm
 from .errors import DimensionMismatchError, FieldMismatchError
 
 
+# Miller-Rabin on the prime bases 2..41 decides primality exactly below
+# this bound (Sorenson and Webster 2015); larger moduli are refused.
+MODULUS_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Whether an integer p < ``MODULUS_BOUND`` is prime, by Miller-Rabin
+    on every base of ``_WITNESSES``."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:  # p passes when a^d = 1 or some a^(2^r d) = -1
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in (pow(x, 1 << r, p) for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -115,6 +123,9 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= MODULUS_BOUND:
+            raise ValueError(f"modulus {p} is not below {MODULUS_BOUND}, the bound "
+                             "under which primality is decided exactly")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
         self.p = p
@@ -237,11 +248,6 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field, nrows, ncols):

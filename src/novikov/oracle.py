@@ -9,7 +9,8 @@ Membership is decided on point sets.  A point's code is its index in
 :func:`enumerate_vectors` order, the base-p integer of its coordinates,
 and a subspace is held with the bitmask of the codes of its p^k points.
 The subspaces of GF(p)^dim and their masks are listed once per (p, dim)
-and shared by every algebra of that dimension.
+and shared by every algebra of that dimension; a lattice of more than
+``MAX_LATTICE_SUBSPACES`` subspaces is refused before it is built.
 :func:`enumerate_ideals` keeps a subspace S when the point of every
 ``e_i r`` and ``r e_i``, r a row of S, lies in S's mask, and memoizes the
 result per (algebra, budget); it never calls the echelon ideal test it is
@@ -30,6 +31,10 @@ from .exactlin import Subspace, int_solve
 from .ideals import _quotient
 
 DEFAULT_BUDGET = 81  # 3^4 coordinate vectors
+
+# Most subspaces a lattice may hold: GF(3)^6 has 56,632 and GF(2)^7 29,212,
+# while GF(2)^8, which a point budget of 256 admits, has 417,199.
+MAX_LATTICE_SUBSPACES = 60000
 
 
 def _require_prime_field(field):
@@ -90,14 +95,29 @@ def _point_code(p, v):
     return code
 
 
+def _subspace_count(p, dim):
+    """The number of subspaces of GF(p)^dim: the sum over k of the
+    Gaussian binomials [dim, k]_p, by [n, k] = [n-1, k-1] + p^k [n-1, k]."""
+    row = [1]  # [0, 0]
+    for n in range(1, dim + 1):
+        row = [1] + [row[k - 1] + p ** k * row[k] for k in range(1, n)] + [1]
+    return sum(row)
+
+
 @lru_cache(maxsize=16)
 def _subspace_lattice(field, dim):
     """``{S: mask}`` over every subspace S of GF(p)^dim, in the order of
     :func:`enumerate_subspaces`; bit c of mask is set when the point of
     code c lies in S.  It does not depend on any algebra or budget, so
     every algebra of one (p, dim) shares one enumeration; callers check
-    their budget first."""
+    their budget first.  A lattice of more than ``MAX_LATTICE_SUBSPACES``
+    subspaces is refused before anything is built."""
     p = field.p
+    count = _subspace_count(p, dim)
+    if count > MAX_LATTICE_SUBSPACES:
+        raise BudgetExceededError(
+            f"{count} subspaces of GF({p})^{dim} exceed the lattice bound "
+            f"{MAX_LATTICE_SUBSPACES}")
     lattice = {}
     for S in enumerate_subspaces(field, dim, p ** dim):
         points = [(0,) * dim]  # integer combinations of the rows, unreduced

@@ -2,10 +2,11 @@
 other than two, plus quasiregularity solvers and bound certificates.
 
 The computation route goes through the commutative associative quotient by
-the commutator ideal: its nilradical (trace-form kernel on the unital hull,
-or exhaustive enumeration over small prime fields) pulls back to the Baer
-radical, and in finite dimension the left-quasiregular radical coincides
-with it.  Every report carries re-checkable certificates.
+the commutator ideal: its nilradical pulls back to the Baer radical, and in
+finite dimension the left-quasiregular radical coincides with it.  Each
+field has one nilradical route: over QQ the kernel of the trace form on the
+unital hull, over GF(p) the kernel of the Frobenius map x -> x^(p^m).
+Every report carries re-checkable certificates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .constructions import adjoin_unit
 from .core import terms, verify_identity
 from .errors import (BudgetExceededError, CharTwoError, NotAnIdealError,
                      NotCommutativeAssociativeError, NotLieSolvableError,
-                     PreconditionError, SmallCharacteristicError, WorkbenchError)
+                     PreconditionError, WorkbenchError)
 from .exactlin import (Matrix, Subspace, from_int_vector, int_solve, int_vector,
                        kernel, vec_add, vec_is_zero)
 from .ideals import (chain, commutator_ideal, is_ideal,
@@ -59,22 +60,28 @@ class RadicalReport:
 def nilradical_commutative(A):
     """Nilpotent elements of a commutative associative algebra as a subspace.
 
-    Route: adjoin a unit and take the kernel in A of the trace form
-    beta(x, y) = trace(L_{xy}) on the hull: the ``a`` in A with
-    ``beta(a, y) = 0`` for every y in the hull.  Over GF(p) the trace
-    argument needs p > dim, otherwise the caller must fall back to
-    exhaustive enumeration.
+    Over QQ: adjoin a unit and take the kernel in A of the trace form
+    beta(x, y) = trace(L_{xy}) on the hull, the ``a`` in A with
+    ``beta(a, y) = 0`` for every y in the hull.
+
+    Over GF(p): x -> x^p is GF(p)-linear on a commutative algebra of
+    characteristic p, and so is its power x -> x^q for q = p^m.  With q the
+    least such power with q >= dim + 1, x is nilpotent exactly when
+    x^q = 0, so the nilradical is the kernel of the matrix whose columns
+    are the e_i^q, each found by square-and-multiply.
     """
     if not verify_identity(A, "commutative").ok or not verify_identity(A, "associative").ok:
         raise NotCommutativeAssociativeError(
             "nilradical route requires a commutative associative algebra")
-    F = A.field
-    if F.p is not None and F.p <= A.dim:
-        raise SmallCharacteristicError(
-            f"trace form is unreliable for p = {F.p} <= dim = {A.dim}; "
-            "use the enumeration (oracle) route")
+    F, d = A.field, A.dim
+    if F.p is not None:
+        q = F.p
+        while q <= d:
+            q *= F.p
+        cols = [_int_power(A, [int(k == i) for k in range(d)], q) for i in range(d)]
+        return kernel(Matrix.from_columns(F, cols, nrows=d))
     hull = adjoin_unit(A)
-    n, d = hull.dim, A.dim
+    n = hull.dim
     # trace(L_{e_k}): the coefficient of e_i in e_k e_i, summed over i
     traces = [sum(c for i, ts in enumerate(hull.index[k]) for t, c in ts if t == i)
               for k in range(n)]
@@ -87,10 +94,15 @@ def nilradical_commutative(A):
     return kernel(Matrix(F, gram, ncols=d))
 
 
-def _nilradical_by_enumeration(A):
-    """Exhaustive nilpotent-element span over a small prime field."""
-    from .oracle import bruteforce_nilpotents
-    return Subspace.span(A.field, bruteforce_nilpotents(A), A.dim)
+def _int_power(A, x, e):
+    """x^e for an integer vector x over GF(p) and e >= 1, by left-to-right
+    square and multiply on ``int_multiply``; A is power-associative."""
+    xs, out = terms(x), x
+    for bit in bin(e)[3:]:
+        out = A.int_multiply(terms(out), terms(out))
+        if bit == "1":
+            out = A.int_multiply(terms(out), xs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +138,10 @@ def _radical_subspace(A):
     outside the route raises, and nothing is cached for it."""
     _require_radical_preconditions(A)
     K, Q, proj = _commutative_quotient(A)
-    try:
-        nil = nilradical_commutative(Q)
-        route = ("A/[A,A] nilradical preimage; nilradical via trace-form "
-                 "kernel on the unital hull")
-    except SmallCharacteristicError:
-        nil = _nilradical_by_enumeration(Q)
-        route = ("A/[A,A] nilradical preimage; nilradical via exhaustive "
-                 "enumeration (small characteristic)")
+    nil = nilradical_commutative(Q)
+    route = "A/[A,A] nilradical preimage; nilradical via " + (
+        "trace-form kernel on the unital hull" if A.field.p is None
+        else "Frobenius kernel x -> x^(p^m)")
     rad = preimage_under_quotient(A, K, nil)
     if not is_ideal(A, rad):  # guaranteed by the construction
         raise RuntimeError("radical preimage failed the ideal check")

@@ -8,17 +8,22 @@ populations used against the brute-force oracle.
 ``ref_gauss_jordan`` is the textbook elimination on field scalars that the
 integer echelon rows are checked against, with the spans, kernels and
 solutions read from it.
+
+``random_element``, the basis products, ``operator_matrix`` and
+``identity_matrix`` are the sampling and matrix helpers that only the tests
+use.
 """
 
 import random
 from functools import lru_cache
 
-from novikov import GF, QQ, AlgebraTable, Subspace
+from novikov import GF, QQ, AlgebraTable, Matrix, Subspace
 from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
                                    random_commutative_pair, split_idempotents,
                                    truncated_poly, truncated_poly_derivation,
                                    weighted_euler_derivation, zero_algebra)
 from novikov.core import verify_identity
+from novikov.exactlin import from_int_vector, int_vector
 from novikov.ideals import classify, ideal_closure, quotient
 
 
@@ -154,6 +159,46 @@ def gf2_commutative_population():
             out.append((name, algebra))
     assert len(out) >= 8
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# elements and operators
+# ---------------------------------------------------------------------------
+
+def random_element(A, rng, spread=2):
+    """Deterministic-for-seed sample with small integer coordinates."""
+    F = A.field
+    if F.p is None:
+        return tuple(F.of_int(rng.randint(-spread, spread)) for _ in range(A.dim))
+    return tuple(rng.randrange(F.p) for _ in range(A.dim))
+
+
+def left_basis_mul(A, i, v):
+    """``e_i v`` through the integer product ``int_left_mul``."""
+    vi, dv = int_vector(A.field, v)
+    return from_int_vector(A.field, A.int_left_mul(i, vi), dv * A.int_scale)
+
+
+def right_basis_mul(A, v, k):
+    """``v e_k`` through the integer product ``int_right_mul``."""
+    vi, dv = int_vector(A.field, v)
+    return from_int_vector(A.field, A.int_right_mul(vi, k), dv * A.int_scale)
+
+
+def operator_matrix(A, x, side="right"):
+    """Matrix of right (v -> vx) or left (v -> xv) multiplication by x."""
+    x = A.element(x)
+    if side == "right":
+        cols = [left_basis_mul(A, j, x) for j in range(A.dim)]
+    elif side == "left":
+        cols = [right_basis_mul(A, x, j) for j in range(A.dim)]
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    return Matrix.from_columns(A.field, cols, nrows=A.dim)
+
+
+def identity_matrix(field, n):
+    return Matrix.diagonal(field, [field.one] * n)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,15 @@ def fixture_path(name):
     return str(GOLDEN / f"{name}.alg")
 
 
+def cli_process(*argv, timeout):
+    """The CLI run as its own process on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "novikov.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 # ---------------------------------------------------------------------------
 # golden files
 # ---------------------------------------------------------------------------
@@ -264,14 +273,9 @@ def test_run_report_direct():
 
 def test_certify_huge_exponent_finishes():
     # the powers of t vanish at t^4, so exponents near 10^8 cost nothing
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "novikov.cli", "certify", fixture_path("tpoly4"),
-         "--claim", "theorem1", "--element", "t", "--ideal", "t2",
-         "--n", "100000000", "--json"],
-        capture_output=True, text=True, timeout=10, env=env)
+    proc = cli_process("certify", fixture_path("tpoly4"), "--claim", "theorem1",
+                       "--element", "t", "--ideal", "t2", "--n", "100000000",
+                       "--json", timeout=10)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)["certificate"]["data"]
     assert data["holds"] is True
@@ -281,18 +285,46 @@ def test_certify_huge_exponent_finishes():
 def test_certify_huge_exponent_of_a_non_nilpotent_element_is_refused():
     # every power of the unit is the unit, so no power ever vanishes and the
     # walk would run to 10^8; past x^(dim+1) the exponent budget refuses it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "novikov.cli", "certify", fixture_path("tpoly3u"),
-         "--claim", "theorem1", "--element", "one", "--ideal", "one",
-         "--n", "100000000", "--json"],
-        capture_output=True, text=True, timeout=10, env=env)
+    proc = cli_process("certify", fixture_path("tpoly3u"), "--claim", "theorem1",
+                       "--element", "one", "--ideal", "one", "--n", "100000000",
+                       "--json", timeout=10)
     assert proc.returncode == 1, proc.stderr
     error = json.loads(proc.stdout)["error"]
     assert error["code"] == "BUDGET_EXCEEDED"
     assert "not r-nilpotent" in error["message"]
+
+
+def with_modulus(tmp_path, p):
+    """gf3_a2.alg with its field declared as GF(p)."""
+    path = tmp_path / f"gf{p}_a2.alg"
+    text = (GOLDEN / "gf3_a2.alg").read_text(encoding="utf-8")
+    path.write_text(text.replace("field gf 3\n", f"field gf {p}\n"), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["check"], ["radical", "--kind", "baer"]])
+def test_a_61_bit_prime_field_runs_within_five_seconds(tmp_path, argv):
+    # primality is decided by Miller-Rabin, and the nilradical's Frobenius
+    # power x^p costs about 2 log2(p) products
+    p = 2 ** 61 - 1
+    proc = cli_process(argv[0], with_modulus(tmp_path, p), *argv[1:], "--json",
+                       timeout=5)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["field"] == f"gf {p}"
+    if argv[0] == "radical":
+        assert "Frobenius kernel" in payload["route"]
+        assert payload["radical"]["dim"] == 2
+
+
+def test_a_modulus_over_the_primality_bound_is_a_coded_error(tmp_path, capsys):
+    from novikov.exactlin import MODULUS_BOUND
+    code, out = run_cli(["check", with_modulus(tmp_path, 2 ** 89 - 1), "--json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "PARSE_ERROR"
+    assert str(MODULUS_BOUND) in error["message"]
+    assert (error["line"], error["col"]) == (1, 10)
 
 
 def test_internal_error_is_a_coded_report(monkeypatch, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import identity_matrix, operator_matrix, random_element
 from novikov import QQ, AlgebraTable, verify_identity
 from novikov.constructions import (adjoin_unit, direct_sum, example1_algebra,
                                    gd_construct, random_commutative_pair,
@@ -54,7 +55,7 @@ def test_gd_rejects_noncommutative_input():
 def test_gd_rejects_non_derivation():
     B = truncated_poly(4)
     with pytest.raises(NotADerivationError):
-        gd_construct(B, Matrix.identity(QQ, 3))
+        gd_construct(B, identity_matrix(QQ, 3))
 
 
 def test_gd_novikov_law_on_random_pairs():
@@ -74,7 +75,7 @@ def test_example1_one_variable():
     B, d = example1_algebra(1)
     assert B.dim == 1
     assert vec_is_zero(B.multiply(B.basis_vector(0), B.basis_vector(0)))
-    assert d == Matrix.identity(QQ, 1)
+    assert d == identity_matrix(QQ, 1)
 
 
 def test_example1_two_variables():
@@ -239,7 +240,7 @@ def test_nil_bound_via_derivation_powers():
     for _ in range(12):
         B, d = random_commutative_pair(rng, max_dim=5, nilpotent_only=True)
         A = gd_construct(B, d)
-        for x in B.basis_vectors() + [B.random_element(rng) for _ in range(3)]:
+        for x in B.basis_vectors() + [random_element(B, rng) for _ in range(3)]:
             dx = d.mat_vec(x)
             n = next((m for m in range(1, B.dim + 2)
                       if vec_is_zero(_assoc_power(B, dx, m))), None)
@@ -275,10 +276,10 @@ def test_quasi_inverse_formula_transfers():
     for _ in range(12):
         B, d = random_commutative_pair(rng, max_dim=5, nilpotent_only=True)
         A = gd_construct(B, d)
-        for x in B.basis_vectors() + [B.random_element(rng) for _ in range(2)]:
+        for x in B.basis_vectors() + [random_element(B, rng) for _ in range(2)]:
             w = d.mat_vec(x)
-            lw = B.operator_matrix(w, side="left")
-            z = solve(lw - Matrix.identity(B.field, B.dim), w)
+            lw = operator_matrix(B, w, side="left")
+            z = solve(lw - identity_matrix(B.field, B.dim), w)
             if z is None:
                 continue
             y = tuple(a - b for a, b in zip(B.multiply(x, z), x))

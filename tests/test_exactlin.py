@@ -1,14 +1,14 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import ref_gauss_jordan, ref_kernel, ref_solve, ref_span
+from corpus import identity_matrix, ref_gauss_jordan, ref_kernel, ref_solve, ref_span
 from novikov.errors import DimensionMismatchError, FieldMismatchError
-from novikov.exactlin import (GF, QQ, Matrix, Subspace, coerce_vector, kernel, rank,
-                              solve)
+from novikov.exactlin import (GF, MODULUS_BOUND, QQ, Matrix, Subspace, _is_prime,
+                              coerce_vector, kernel, rank, solve)
 
 F3 = GF(3)
 
@@ -39,6 +39,43 @@ def test_prime_field_rejects_composite():
         GF(4)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_primality_matches_trial_division_below_100000():
+    assert [n for n in range(-5, 100000) if _is_prime(n)] == \
+        [n for n in range(100000) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    318665857834031151167461,  # to every prime base up to 37; 41 finds it
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,  # Carmichael numbers
+    2 ** 67 - 1, (2 ** 19 - 1) * (2 ** 31 - 1),
+])
+def test_pseudoprimes_are_not_prime(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(n)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1, 10 ** 9 + 7, 2 ** 64 - 59])
+def test_large_primes_are_prime(p):
+    assert _is_prime(p)
+    assert GF(p).p == p
+
+
+def test_modulus_over_the_bound_is_refused():
+    # the bound is itself a strong pseudoprime to all thirteen bases
+    # (Sorenson and Webster 2015), so a test there could not decide
+    for n in (MODULUS_BOUND, 2 ** 89 - 1, 10 ** 30):
+        with pytest.raises(ValueError, match=str(MODULUS_BOUND)):
+            GF(n)
 
 
 def test_field_coercion_mismatch():
@@ -162,7 +199,7 @@ def test_solve_succeeds_iff_rhs_in_column_space(M, data):
 # ---------------------------------------------------------------------------
 
 def test_kernel_identity():
-    assert kernel(Matrix.identity(QQ, 2)).is_zero()
+    assert kernel(identity_matrix(QQ, 2)).is_zero()
 
 
 def test_kernel_zero_matrix():

@@ -351,6 +351,34 @@ def test_refusals_come_before_any_enumeration(monkeypatch):
     assert calls == []
 
 
+def test_oversized_lattice_is_refused_before_it_is_built(monkeypatch):
+    # a point budget of 2^8 admits GF(2)^8, whose 417,199 subspaces exceed
+    # the lattice bound; GF(3)^6 and GF(2)^7 stay within it
+    calls = []
+    monkeypatch.setattr(oracle, "enumerate_subspaces",
+                        lambda *args: calls.append(args) or iter(()))
+    oracle.enumerate_ideals.cache_clear()
+    oracle._subspace_lattice.cache_clear()
+    big = zero_algebra(8, field=F2)
+    with pytest.raises(BudgetExceededError, match="417199 subspaces"):
+        bruteforce_baer_tower(big, budget=2 ** 8)
+    with pytest.raises(BudgetExceededError):
+        quotient_intersection(big, "domain", budget=2 ** 8)
+    assert calls == []
+    assert oracle._subspace_count(2, 8) > oracle.MAX_LATTICE_SUBSPACES
+    for p, dim in ((3, 6), (2, 7)):
+        assert oracle._subspace_count(p, dim) <= oracle.MAX_LATTICE_SUBSPACES
+        oracle._subspace_lattice(GF(p), dim)  # the stub lists nothing
+    assert calls == [(GF(3), 6, 3 ** 6), (GF(2), 7, 2 ** 7)]
+    oracle._subspace_lattice.cache_clear()
+
+
+@pytest.mark.parametrize("p,dim", [(2, 0), (2, 1), (2, 5), (3, 4), (5, 3), (7, 2)])
+def test_subspace_count_is_the_sum_of_gaussian_binomials(p, dim):
+    expected = sum(gaussian_binomial(dim, k, p) for k in range(dim + 1))
+    assert oracle._subspace_count(p, dim) == expected
+
+
 # ---------------------------------------------------------------------------
 # point masks against the echelon routes
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""The oracle decides ideals on its own: ``novikov/oracle.py`` neither
-imports nor refers to ``ideals.is_ideal``, the echelon ideal test that the
-oracle's ideal lattice is meant to check.
+"""The oracle and the code it checks stay apart, in both directions:
+
+- ``novikov/oracle.py`` neither imports nor refers to ``ideals.is_ideal``,
+  the echelon ideal test that the oracle's ideal lattice is meant to check;
+- ``novikov/radicals.py`` neither imports ``oracle`` nor names anything the
+  oracle defines, so the radicals never compute their answer with the
+  module that cross-checks it.
 
 The scan reads the syntax tree, so strings, docstrings and comments do not
 count.
@@ -11,29 +15,56 @@ from pathlib import Path
 
 import pytest
 
-ORACLE = Path(__file__).resolve().parents[1] / "src" / "novikov" / "oracle.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "novikov"
+ORACLE = SRC / "oracle.py"
+RADICALS = SRC / "radicals.py"
 
 
-def is_ideal_uses(source):
-    """Line of every import of ``is_ideal`` (under any alias) and of every
-    use of the name, bare or as an attribute."""
+def uses(source, names):
+    """The lines that import a module or a name in ``names`` (under any
+    alias) or use such a name, bare or as an attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            hit = any(alias.name.rpartition(".")[2] == "is_ideal" for alias in node.names)
+            imported = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.append(node.module)
+            hit = any(name.rpartition(".")[2] in names for name in imported)
         elif isinstance(node, ast.Name):
-            hit = node.id == "is_ideal"
+            hit = node.id in names
         elif isinstance(node, ast.Attribute):
-            hit = node.attr == "is_ideal"
+            hit = node.attr in names
         else:
             continue
         if hit:
             found.append(node.lineno)
-    return sorted(found)
+    return sorted(set(found))
+
+
+def top_level_names(source):
+    """The names a module defines at top level: its functions, classes and
+    assigned constants, not what it imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def oracle_names():
+    return {"oracle"} | top_level_names(ORACLE.read_text(encoding="utf-8"))
 
 
 def test_the_oracle_does_not_use_is_ideal():
-    assert is_ideal_uses(ORACLE.read_text(encoding="utf-8")) == []
+    assert uses(ORACLE.read_text(encoding="utf-8"), {"is_ideal"}) == []
+
+
+def test_the_radicals_do_not_use_the_oracle():
+    names = oracle_names()
+    assert {"bruteforce_nilpotents", "enumerate_ideals", "DEFAULT_BUDGET"} <= names
+    assert uses(RADICALS.read_text(encoding="utf-8"), names) == []
 
 
 @pytest.mark.parametrize("source,want", [
@@ -48,4 +79,22 @@ def test_the_oracle_does_not_use_is_ideal():
     ('"""is_ideal(A, S)"""\n# from .ideals import is_ideal\n', []),
 ])
 def test_the_scan_finds_is_ideal(source, want):
-    assert is_ideal_uses(source) == want
+    assert uses(source, {"is_ideal"}) == want
+
+
+@pytest.mark.parametrize("source,want", [
+    ("from .oracle import bruteforce_nilpotents\n", [1]),
+    ("from .oracle import power_iteration_index as walk\n", [1]),
+    ("from . import oracle\n", [1]),
+    ("import novikov.oracle\n", [1]),
+    ("from novikov.oracle import *\n", [1]),
+    ("from . import oracle as o\nx = o.bruteforce_nilpotents(A)\n", [1, 2]),
+    ("def f(A):\n    from .oracle import enumerate_ideals\n", [2]),
+    ("x = novikov.oracle.DEFAULT_BUDGET\n", [1]),
+    ("nil = bruteforce_nilpotents(Q)\n", [1]),
+    ("from .ideals import quotient\nbudget = 81\n", []),
+    ("from .oracles_elsewhere import thing\n", []),
+    ('"""falls back to oracle.bruteforce_nilpotents"""\n# from .oracle import x\n', []),
+])
+def test_the_scan_finds_oracle_uses(source, want):
+    assert uses(source, oracle_names()) == want

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import a2, field_algebra, q_corpus
+from corpus import (a2, field_algebra, identity_matrix, operator_matrix, q_corpus,
+                    random_element)
 from novikov import GF, QQ, AlgebraTable, Subspace
 from novikov.constructions import (adjoin_unit, direct_sum, example1_algebra,
                                    gd_construct, random_commutative_pair,
                                    split_idempotents, truncated_poly,
                                    truncated_poly_derivation,
                                    weighted_euler_derivation, zero_algebra)
-from novikov.errors import (BudgetExceededError, CharTwoError, NotAnIdealError,
-                            NotCommutativeAssociativeError, NotLieSolvableError,
-                            PreconditionError, SmallCharacteristicError)
-from novikov.exactlin import Matrix, solve, vec_add, vec_is_zero
+from novikov.errors import (CharTwoError, NotAnIdealError, NotCommutativeAssociativeError,
+                            NotLieSolvableError, PreconditionError)
+from novikov.exactlin import solve, vec_add, vec_is_zero
 from novikov.ideals import chain, classify, commutator_ideal
-from novikov.oracle import bruteforce_baer_tower
+from novikov.oracle import bruteforce_baer_tower, bruteforce_nilpotents
 from novikov.radicals import (Certificate, baer_radical, bound_certificates,
                               check_certificate, lqr_radical, nilradical_commutative,
                               quasi_inverse_lift, quasiregular_solve)
@@ -58,11 +58,10 @@ def test_nilradical_rejects_noncommutative():
         nilradical_commutative(bad)
 
 
-def test_nilradical_rejects_small_characteristic():
+def test_nilradical_in_small_characteristic():
     F = GF(3)
-    A = truncated_poly(4, field=F)  # dim 3 = p
-    with pytest.raises(SmallCharacteristicError):
-        nilradical_commutative(A)
+    A = truncated_poly(4, field=F)  # dim 3 = p: the Frobenius power is 3^2
+    assert nilradical_commutative(A) == A.full_space()
 
 
 def test_nilradical_small_prime_large_enough():
@@ -78,10 +77,7 @@ def test_nilradical_mixed_sum():
     assert N == span(A, A.basis_vector(1), A.basis_vector(2))
 
 
-def test_nilradical_trace_route_matches_enumeration():
-    # both routes are available over GF(p) with p > dim: they must agree
-    from novikov.constructions import direct_sum
-    from novikov.oracle import bruteforce_nilpotents
+def test_nilradical_matches_enumeration_on_fixed_samples():
     samples = []
     for p in (5, 7):
         F = GF(p)
@@ -93,8 +89,8 @@ def test_nilradical_trace_route_matches_enumeration():
             direct_sum(split_idempotents(1, field=F), truncated_poly(3, field=F)),
             zero_algebra(2, field=F),
         ]
-    # p = dim + 1, the hull's dimension: trace(L_unit) = p = 0, so the
-    # hull's trace-form kernel holds the unit, which lies outside A
+    # p = dim + 1, the hull's dimension, where a trace form on the hull
+    # would vanish on the unit: trace(L_unit) = p = 0
     F3, F5 = GF(3), GF(5)
     samples += [
         truncated_poly(3, field=F3),
@@ -103,9 +99,53 @@ def test_nilradical_trace_route_matches_enumeration():
         direct_sum(split_idempotents(2, field=F5), truncated_poly(3, field=F5)),
     ]
     for A in samples:
-        trace_route = nilradical_commutative(A)
-        enumeration = Subspace.span(A.field, bruteforce_nilpotents(A, budget=625), A.dim)
-        assert trace_route == enumeration
+        assert nilradical_commutative(A) == nilpotent_span(A)
+
+
+def nilpotent_span(A):
+    return Subspace.span(A.field, bruteforce_nilpotents(A, budget=A.field.p ** A.dim), A.dim)
+
+
+def polynomial_quotient(F, modulus):
+    """GF(p)[t]/(f) on the basis 1, t, ..., t^(n-1), for a monic f of
+    degree n given by its coefficients, constant first, leading 1 omitted."""
+    n = len(modulus)
+    products = {}
+    for i in range(n):
+        for j in range(n):
+            v = [0] * (2 * n - 1)
+            v[i + j] = 1
+            for k in range(2 * n - 2, n - 1, -1):  # t^k = t^(k-n) t^n, t^n = -sum f_m t^m
+                c, v[k] = v[k], 0
+                for m, f in enumerate(modulus):
+                    v[k - n + m] -= c * f
+            products[i, j] = tuple(F.of_int(a) for a in v[:n])
+    return AlgebraTable.from_products(F, n, products)
+
+
+@pytest.mark.parametrize("p,modulus,nil_dim", [
+    (3, (-1, 0, 0), 2),       # t^3 - 1 = (t - 1)^3: nilradical (t - 1)
+    (5, (-1, 0, 0, 0, 0), 4),  # t^5 - 1 = (t - 1)^5
+    (3, (1, 0), 0),           # t^2 + 1 is irreducible: GF(9), a field
+    (3, (0, 0, -1, 0), 1),    # t^4 - t^2 = t^2 (t - 1)(t + 1): t^3 - t
+    (2, (1, 1), 0),           # t^2 + t + 1: GF(4)
+    (2, (1, 0, 0, 0), 3),     # t^4 + 1 = (t + 1)^4
+])
+def test_frobenius_nilradical_of_polynomial_quotients(p, modulus, nil_dim):
+    # the basis 1, t, ... holds no nilpotent vector, so every nonzero
+    # element of the nilradical mixes basis vectors
+    A = polynomial_quotient(GF(p), modulus)
+    N = nilradical_commutative(A)
+    assert N.dim == nil_dim
+    assert N == nilpotent_span(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 5), (5, 4), (7, 3)]), st.randoms(use_true_random=False))
+def test_frobenius_nilradical_matches_the_oracle(case, rng):
+    p, top = case
+    B, _ = random_commutative_pair(rng, max_dim=top, field=GF(p))
+    assert nilradical_commutative(B) == nilpotent_span(B)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +214,13 @@ def test_baer_radical_of_unital_truncated():
     assert rep.radical == span(A, A.basis_vector(1), A.basis_vector(2))
 
 
-def test_baer_radical_small_char_fallback_route():
+def test_baer_radical_small_char_frobenius_route():
     F = GF(3)
     A = truncated_poly(4, field=F)  # commutative, quotient dim 3 = p
     rep = baer_radical(A)
     assert rep.radical == A.full_space()
-    assert "enumeration" in rep.route
+    assert rep.route == ("A/[A,A] nilradical preimage; nilradical via "
+                         "Frobenius kernel x -> x^(p^m)")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +253,7 @@ def test_lemma4_equivalence_membership_iff_r_nilpotent():
     rng = random.Random(59)
     for name, A in q_corpus():
         rad = baer_radical(A).radical
-        elements = A.basis_vectors() + [A.random_element(rng) for _ in range(100)]
+        elements = A.basis_vectors() + [random_element(A, rng) for _ in range(100)]
         for x in elements:
             assert rad.contains(x) == (A.r_nilpotency_index(x) is not None), name
 
@@ -222,7 +263,7 @@ def test_everything_left_quasiregular_when_radical_is_all():
     for name, A in q_corpus():
         if lqr_radical(A).radical != A.full_space():
             continue
-        for x in A.basis_vectors() + [A.random_element(rng) for _ in range(10)]:
+        for x in A.basis_vectors() + [random_element(A, rng) for _ in range(10)]:
             assert quasiregular_solve(A, x, side="left") is not None, name
 
 
@@ -231,7 +272,7 @@ def test_three_way_agreement_on_corpus():
     for name, A in q_corpus():
         radical_is_all = baer_radical(A).radical == A.full_space()
         solvable = classify(A).solvable is not None
-        sampled = A.basis_vectors() + [A.random_element(rng) for _ in range(10)]
+        sampled = A.basis_vectors() + [random_element(A, rng) for _ in range(10)]
         all_r_nil = all(A.r_nilpotency_index(x) is not None for x in sampled)
         assert radical_is_all == solvable == all_r_nil, name
 
@@ -333,7 +374,7 @@ def test_lift_agrees_with_solve_on_corpus():
     for name, A in q_corpus():
         K = commutator_ideal(A, A.full_space())
         bound = chain(A, "right", base=K).index
-        for x in A.basis_vectors() + [A.random_element(rng) for _ in range(5)]:
+        for x in A.basis_vectors() + [random_element(A, rng) for _ in range(5)]:
             direct = quasiregular_solve(A, x, side="left")
             lifted = quasi_inverse_lift(A, x)
             assert (direct is None) == (lifted is None), name
@@ -510,10 +551,7 @@ def test_tower_certificate_tampering_against_the_oracle(p, rng, data):
     if A.dim < top:
         A = direct_sum(A, random_commutative_pair(rng, max_dim=top - A.dim, field=F)[0])
     assume(chain(A, "lie").index is not None)
-    try:
-        cert = baer_radical(A).witnesses[0]
-    except BudgetExceededError:  # p <= dim(A/K) = 5: the enumeration route's 81 points
-        assume(False)
+    cert = baer_radical(A).witnesses[0]
     rad = cert.data["radical"]
     assert rad == bruteforce_baer_tower(A, budget=p ** A.dim)[1]
     assert check_certificate(A, cert)
@@ -557,6 +595,6 @@ def quasiregular_cases(draw):
 def test_integer_quasiregular_solve_matches_the_matrix_route(case):
     A, x, side = case
     x = A.element(x)
-    op = A.operator_matrix(x, side="right" if side == "left" else "left")
-    expected = solve(op - Matrix.identity(A.field, A.dim), x)
+    op = operator_matrix(A, x, side="right" if side == "left" else "left")
+    expected = solve(op - identity_matrix(A.field, A.dim), x)
     assert quasiregular_solve(A, x, side=side) == expected
