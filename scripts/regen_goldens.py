@@ -3,9 +3,9 @@
 
 Writes the derived .alg inputs (truncated polynomial and square-free
 monomial examples) and the expected JSON for every (fixture, command) pair
-listed in GOLDEN_RUNS.  Test code compares CLI output byte for byte
-against these files, so rerun this script only when an output change is
-intended, and review the diff.
+listed in GOLDEN_RUNS.  ``tests/test_cli.py`` imports that list and
+compares CLI output byte for byte against these files, so rerun this
+script only when an output change is intended, and review the diff.
 """
 
 import io

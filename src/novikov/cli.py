@@ -4,7 +4,8 @@ deterministic report.
 Reports are JSON with sorted keys and exact coefficient strings, so equal
 inputs produce byte-identical output.  Exit codes: 0 success, 1 analysis
 precondition failure, 2 parse error, 3 internal error (a broken invariant,
-reported as ``INTERNAL_ERROR`` rather than a traceback).  The oracle point
+reported as ``INTERNAL_ERROR`` rather than a traceback); a reader that
+closes the output pipe early ends the report without one.  The oracle point
 budget can be overridden with the ``NOVIKOV_ORACLE_BUDGET`` environment
 variable.
 """
@@ -329,6 +330,18 @@ def build_parser():
     return parser
 
 
+def _to_stdout(write, *args):
+    """Call ``write(*args)`` and flush stdout.  A reader that closed the pipe
+    early wants no more of the report, so a broken pipe ends the writing
+    quietly; stdout is then pointed at os.devnull, so the flush at exit
+    cannot raise again, and the caller returns its own exit code."""
+    try:
+        write(*args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.threads < 1:
@@ -347,7 +360,8 @@ def main(argv=None):
             payload = {"version": __version__,
                        "error": {"code": "PARSE_ERROR", "message": exc.message,
                                  "line": exc.line, "col": exc.col}}
-            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            _to_stdout(sys.stdout.write,
+                       json.dumps(payload, sort_keys=True, indent=2) + "\n")
         else:
             print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -364,9 +378,9 @@ def main(argv=None):
                 return 1
     text_out, code = run_report(doc, args.command, options)
     if args.json:
-        sys.stdout.write(text_out)
+        _to_stdout(sys.stdout.write, text_out)
     else:
-        _render_human(json.loads(text_out), sys.stdout)
+        _to_stdout(_render_human, json.loads(text_out), sys.stdout)
     return code
 
 

@@ -15,6 +15,7 @@ and column of the offending token.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .core import AlgebraTable
@@ -36,6 +37,17 @@ NUMBER = "number"
 SYMBOL = "symbol"
 
 
+def _check_digits(tok, line, col):
+    """Refuse a number with a part longer than Python's limit on parsing an
+    int (``sys.get_int_max_str_digits()``, 0 for none), naming the limit and
+    echoing only the head of the token."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = max(map(len, tok.split("/")))
+    if limit and digits > limit:
+        raise ParseError(f"number {tok[:12]}... has {digits} digits, over Python's "
+                         f"{limit}-digit limit on parsing an int", line, col)
+
+
 def _tokenize(text_line, lineno):
     cut = text_line.find("#")
     if cut >= 0:
@@ -48,6 +60,7 @@ def _tokenize(text_line, lineno):
             kind = NAME
         elif re.fullmatch(r"\d+/\d+|\d+", tok):
             kind = NUMBER
+            _check_digits(tok, lineno, col)
         elif tok in "=+*-":
             kind = SYMBOL
         else:

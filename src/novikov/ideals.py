@@ -296,13 +296,6 @@ def quotient(A, I):
     _check_subspace(A, I)
     if not is_ideal(A, I):
         raise NotAnIdealError("quotient requires an ideal")
-    return _quotient(A, I)
-
-
-@lru_cache(maxsize=1024)
-def _quotient(A, I):
-    """:func:`quotient` for a subspace I that the caller knows to be an
-    ideal of A: no checks."""
     F = A.field
     pivot_set = set(I.pivots)
     comp = [c for c in range(A.dim) if c not in pivot_set]

@@ -16,19 +16,26 @@ and shared by every algebra of that dimension; a lattice of more than
 result per (algebra, budget); it never calls the echelon ideal test it is
 meant to check.  The Baer tower walks that list through the
 correspondence theorem with mask tests, and both quotient intersections
-iterate the same list.
+iterate the same list.  They build no quotient algebra: A/I is decided on
+A's own points, a coset named by its point supported on I's non-pivot
+coordinates and a point of I by its bit in I's mask.  A/I is a domain when
+no two nonzero representatives multiply into I, a field when in addition a
+searched representative u fixes every basis vector modulo I and every
+nonzero representative has a searched inverse modulo I, and either must be
+commutative associative, which holds when every basis commutator and
+associator of A lies in I.  The module uses nothing of ``novikov.ideals``,
+the identity checks or the linear solver it is meant to check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from operator import add
+from itertools import combinations, islice, product
+from operator import add, sub
 
-from .core import terms, verify_identity
+from .core import terms
 from .errors import BudgetExceededError, WorkbenchError
-from .exactlin import Subspace, int_solve
-from .ideals import _quotient
+from .exactlin import Subspace
 
 DEFAULT_BUDGET = 81  # 3^4 coordinate vectors
 
@@ -208,12 +215,12 @@ def bruteforce_baer_tower(A, budget=None):
     """
     budget = _check_budget(A.field, A.dim, budget)
     lattice = _subspace_lattice(A.field, A.dim)
-    ideals = [(I, lattice[I]) for I in enumerate_ideals(A, budget)]
+    masked = [(I, lattice[I]) for I in enumerate_ideals(A, budget)]
     tower = []
     current, held = Subspace.zero(A.field, A.dim), 1  # bit 0: the origin
     while True:
         nxt, grown = current, held
-        for I, mask in ideals:
+        for I, mask in masked:
             if (mask & held == held and mask & ~grown
                     and _square_inside(A, I, held)):
                 nxt = nxt.sum(I)
@@ -227,60 +234,51 @@ def bruteforce_baer_tower(A, budget=None):
     return tower, current
 
 
-def _find_unit(A):
-    """The two-sided unit of A over GF(p), or None when A has none.
+def _quotient_is(A, I, held, kind):
+    """Whether A/I is an integral domain (``kind`` "domain") or a field,
+    decided on A's own points against I's point mask ``held``.
 
-    u is a unit exactly when ``u e_j = e_j = e_j u`` for every j, a linear
-    system in u's coordinates whose rows are read off the structure
-    constants; a unit is unique, so the system has one solution or none.
-    In dimension 0 the unit is the empty vector.
+    A coset of I is named by its one point supported on I's non-pivot
+    coordinates, and a point lies in I when its bit is in ``held``.  No two
+    nonzero representatives may multiply into I: a field has no zero
+    divisors either, so this is searched first for both kinds, each new
+    representative against those before it.  A field also needs some
+    representative u with ``u e_j - e_j`` in I for every j, and for every
+    nonzero representative x some y with ``x y - u`` in I, both found by
+    search.  Either way A/I must be commutative associative: every basis
+    commutator and associator of A lies in I, which is tested last, so a
+    one-sided unit found above is a unit.  The zero quotient is a domain
+    and not a field.
     """
-    n = A.dim
-    rows = []
-    for j in range(n):
-        left = [[0] * n + [int(k == j)] for k in range(n)]   # u e_j = e_j
-        right = [[0] * n + [int(k == j)] for k in range(n)]  # e_j u = e_j
-        for i in range(n):
-            for k, c in A.index[i][j]:
-                left[k][i] = c
-            for k, c in A.index[j][i]:
-                right[k][i] = c
-        rows += left + right
-    solution = int_solve(A.field, rows, n)
-    return None if solution is None else tuple(solution[0])
+    p, n = A.field.p, A.dim
+    pivots = set(I.pivots)
+    comp = [c for c in range(n) if c not in pivots]
 
+    def inside(v):
+        return held >> _point_code(p, v) & 1
 
-def _is_integral_domain(Q, budget):
-    """Commutative associative with no nonzero zero divisors, checked on
-    every pair of points.  The zero-dimensional algebra passes vacuously."""
-    if Q.dim == 0:
-        return True
-    if not (verify_identity(Q, "commutative").ok and verify_identity(Q, "associative").ok):
-        return False
-    nonzero = [terms(x) for x in enumerate_vectors(Q.field, Q.dim, budget) if any(x)]
-    for xs in nonzero:
-        for ys in nonzero:
-            if not any(Q.int_multiply(xs, ys)):
-                return False
-    return True
-
-
-def _is_field_algebra(Q, budget):
-    """Nonzero, commutative associative, with a unit and every nonzero
-    element invertible; the inverses are searched exhaustively."""
-    if Q.dim == 0:
-        return False
-    if not (verify_identity(Q, "commutative").ok and verify_identity(Q, "associative").ok):
-        return False
-    unit = _find_unit(Q)
-    if unit is None:
-        return False
-    unit = list(unit)
-    nonzero = [terms(x) for x in enumerate_vectors(Q.field, Q.dim, budget) if any(x)]
-    for xs in nonzero:
-        if not any(Q.int_multiply(xs, ys) == unit for ys in nonzero):
+    reps = []  # each new one is multiplied by every one before it, both ways
+    for values in islice(product(range(p), repeat=len(comp)), 1, None):  # not zero
+        x = [(c, a) for c, a in zip(comp, values) if a]
+        reps.append(x)
+        if any(inside(A.int_multiply(x, y)) or inside(A.int_multiply(y, x)) for y in reps):
             return False
-    return True
+    if kind == "field":
+        unit = next((u for u in reps
+                     if all(inside(map(sub, A.int_multiply(u, ((j, 1),)), A.basis_vector(j)))
+                            for j in range(n))), None)
+        if unit is None:
+            return False
+        u = [0] * n
+        for c, a in unit:
+            u[c] = a
+        if not all(any(inside(map(sub, A.int_multiply(x, y), u)) for y in reps)
+                   for x in reps):
+            return False
+    e = [[A.basis_product(i, j) for j in range(n)] for i in range(n)]
+    return (all(inside(map(sub, e[i][j], e[j][i])) for i in range(n) for j in range(i))
+            and all(inside(map(sub, A.int_right_mul(e[i][j], k), A.int_left_mul(i, e[j][k])))
+                    for i, j, k in product(range(n), repeat=3)))
 
 
 def quotient_intersection(A, kind, budget=None):
@@ -288,16 +286,16 @@ def quotient_intersection(A, kind, budget=None):
     field; the full space when no ideal qualifies.
 
     Iterates the memoized ideal lattice, so the domain and field
-    intersections of one algebra share one enumeration and their
-    quotients.
+    intersections of one algebra share one enumeration, and decides each
+    quotient with :func:`_quotient_is` on A's points.  The full space
+    changes no intersection and is not tested.
     """
     if kind not in ("domain", "field"):
         raise ValueError(f"unknown quotient kind {kind!r}")
     budget = _check_budget(A.field, A.dim, budget)
-    test = _is_integral_domain if kind == "domain" else _is_field_algebra
+    lattice = _subspace_lattice(A.field, A.dim)
     result = Subspace.full(A.field, A.dim)
     for I in enumerate_ideals(A, budget):  # ideals already: no re-test
-        Q, _proj = _quotient(A, I)
-        if test(Q, budget):
+        if not I.is_full() and _quotient_is(A, I, lattice[I], kind):
             result = result.intersect(I)
     return result

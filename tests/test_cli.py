@@ -10,35 +10,8 @@ from novikov import __version__
 from novikov.cli import main, run_report
 from novikov.dsl import parse_algebra_source, serialize_algebra_doc
 
-GOLDEN = Path(__file__).parent / "golden"
-
-GOLDEN_RUNS = [
-    ("a2", ["check"]),
-    ("a2", ["radical", "--kind", "baer"]),
-    ("a2", ["series", "--kind", "right"]),
-    ("a2", ["certify", "--claim", "lemma3", "--element", "e1",
-            "--ideal", "e2", "--n", "2"]),
-    ("tpoly4", ["gd", "--derivation", "euler"]),
-    ("tpoly4", ["quasi-inverse", "--element", "t", "--side", "left", "--lift"]),
-    ("tpoly4", ["certify", "--claim", "theorem1", "--element", "t",
-                "--ideal", "t2", "--n", "2"]),
-    ("tpoly4", ["certify", "--claim", "lemma1", "--element", "t", "--n", "2"]),
-    ("tpoly4", ["quasi-inverse", "--element", "t + t2", "--side", "right"]),
-    ("tpoly3u", ["radical", "--kind", "lqr"]),
-    ("ex1k2", ["radical", "--kind", "baer"]),
-    ("ex1k3", ["check"]),
-    ("ex1k2", ["gd", "--derivation", "deg"]),
-    ("ex1k3", ["series", "--kind", "full"]),
-    ("gf3_a2", ["oracle", "--task", "tower"]),
-    ("gf3_a2", ["oracle", "--task", "nilpotents"]),
-    ("gf3_a2", ["oracle", "--task", "intersection", "--kind", "domain"]),
-    ("gf3_a2", ["radical", "--kind", "baer"]),
-]
-
-
-def golden_name(fixture, argv):
-    bits = [fixture] + [a.lstrip("-") for a in argv]
-    return ("_".join(bits).replace("/", "_").replace(" ", "")) + ".json"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from regen_goldens import GOLDEN, GOLDEN_RUNS, golden_name  # noqa: E402
 
 
 def run_cli(argv, capsys):
@@ -51,13 +24,15 @@ def fixture_path(name):
     return str(GOLDEN / f"{name}.alg")
 
 
-def cli_process(*argv, timeout):
-    """The CLI run as its own process on this checkout's sources."""
+def cli_process(*argv, timeout, stdout=subprocess.PIPE):
+    """The CLI run as its own process on this checkout's sources; stderr is
+    captured, and so is stdout unless another target is given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "novikov.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=timeout, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +300,44 @@ def test_a_modulus_over_the_primality_bound_is_a_coded_error(tmp_path, capsys):
     assert error["code"] == "PARSE_ERROR"
     assert str(MODULUS_BOUND) in error["message"]
     assert (error["line"], error["col"]) == (1, 10)
+
+
+LONG_NUMBER = "7" * 5000  # over the 4300-digit limit of Python 3.11 on parsing an int
+
+
+@pytest.mark.parametrize("text,argv,where", [
+    (f"field rational\nbasis e\nmul e e = {LONG_NUMBER}*e\n", ["check"], (3, 11)),
+    (f"field gf {LONG_NUMBER}\nbasis e\n", ["check"], (1, 10)),
+    ("field rational\nbasis e\n",
+     ["certify", "--claim", "lemma1", "--element", f"{LONG_NUMBER}*e", "--n", "2"], (1, 1)),
+], ids=["coefficient", "modulus", "element"])
+def test_an_over_long_number_is_a_short_parse_error(tmp_path, capsys, text, argv, where):
+    src = tmp_path / "long.alg"
+    src.write_text(text, encoding="utf-8")
+    code, out = run_cli(argv[:1] + [str(src)] + argv[1:] + ["--json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "PARSE_ERROR"
+    assert (error["line"], error["col"]) == where
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in error["message"]
+    assert "5000 digits" in error["message"]
+    assert len(error["message"]) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", fixture_path("ex1k3"), "--kind", "full"],
+    ["series", fixture_path("ex1k3"), "--kind", "full", "--json"],
+    ["check", str(GOLDEN / "ex1k3_check.json"), "--json"],  # not a document
+], ids=["human", "json", "json-parse-error"])
+def test_a_closed_output_pipe_prints_no_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader left, so the child's first write fails with EPIPE
+    try:
+        proc = cli_process(*argv, timeout=30, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in {0, 1, 2, 3}
 
 
 def test_internal_error_is_a_coded_report(monkeypatch, capsys):

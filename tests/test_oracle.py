@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from corpus import a2, field_algebra, gf2_commutative_population, gf3_population
 from novikov import GF, QQ, AlgebraTable, Subspace, oracle
-from novikov.constructions import adjoin_unit, zero_algebra
+from novikov.constructions import zero_algebra
 from novikov.core import verify_identity
 from novikov.errors import BudgetExceededError, WorkbenchError
 from novikov.ideals import (commutator_ideal, is_ideal, is_trivial_ideal,
@@ -277,6 +277,17 @@ def small_prime_field_tables(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(small_prime_field_tables())
+@example(AlgebraTable.from_products(F3, 2, {(0, 0): (1, 0), (0, 1): (0, 1)}))  # left unit e1
+@example(AlgebraTable.from_products(  # GF(3)[t]/(t^2 + 1) = GF(9), basis 1, t
+    F3, 2, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (2, 0)}))
+@example(AlgebraTable.from_products(  # GF(3)[t]/(t^2): a unit, t not invertible
+    F3, 2, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1)}))
+@example(AlgebraTable.from_products(  # x o y = conj(x) y on GF(9): not commutative
+    F3, 2, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 2), (1, 1): (1, 0)}))
+@example(AlgebraTable.from_products(  # x o y = conj(x y) on GF(9): not associative
+    F3, 2, {(0, 0): (1, 0), (0, 1): (0, 2), (1, 0): (0, 2), (1, 1): (2, 0)}))
+@example(AlgebraTable.from_products(  # GF(3) x GF(3)[t]/(t^2); e1 = (1, 0) lies in GF(3) x 0
+    F3, 3, {(0, 0): (1, 0, 0), (1, 1): (0, 1, 0), (1, 2): (0, 0, 1), (2, 1): (0, 0, 1)}))
 def test_lattice_route_matches_references_on_drawn_algebras(A):
     assert_matches_references(A, budget=A.field.p ** A.dim)
 
@@ -434,22 +445,3 @@ def test_ideal_masks_match_the_echelon_ideal_test(A):
     budget = A.field.p ** A.dim
     assert enumerate_ideals(A, budget) == tuple(
         S for S in enumerate_subspaces(A.field, A.dim, budget) if is_ideal(A, S))
-
-
-def exhaustive_unit(A):
-    """The first nonzero point u with u x = x = x u for every point x."""
-    points = enumerate_vectors(A.field, A.dim, A.field.p ** A.dim)
-    for u in points:
-        if any(u) and all(A.multiply(u, x) == x == A.multiply(x, u) for x in points):
-            return u
-    return None
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_prime_field_tables())
-@example(field_algebra(field=F3))
-@example(AlgebraTable.from_products(F3, 2, {(0, 0): (1, 0), (0, 1): (0, 1)}))  # left unit e1
-def test_find_unit_matches_exhaustive_search(A):
-    for B in (A, adjoin_unit(A)):
-        assert oracle._find_unit(B) == exhaustive_unit(B)
-    assert oracle._find_unit(adjoin_unit(A)) is not None

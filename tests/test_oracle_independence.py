@@ -1,7 +1,9 @@
 """The oracle and the code it checks stay apart, in both directions:
 
 - ``novikov/oracle.py`` neither imports nor refers to ``ideals.is_ideal``,
-  the echelon ideal test that the oracle's ideal lattice is meant to check;
+  the echelon ideal test that the oracle's ideal lattice is meant to check,
+  nor to anything else of ``novikov.ideals``, the quotient builder, the
+  identity checks or the linear solver: it decides quotients on points;
 - ``novikov/radicals.py`` neither imports ``oracle`` nor names anything the
   oracle defines, so the radicals never compute their answer with the
   module that cross-checks it.
@@ -61,6 +63,13 @@ def test_the_oracle_does_not_use_is_ideal():
     assert uses(ORACLE.read_text(encoding="utf-8"), {"is_ideal"}) == []
 
 
+QUOTIENT_MACHINERY = {"ideals", "quotient", "_quotient", "verify_identity", "int_solve"}
+
+
+def test_the_oracle_builds_and_solves_no_quotient():
+    assert uses(ORACLE.read_text(encoding="utf-8"), QUOTIENT_MACHINERY) == []
+
+
 def test_the_radicals_do_not_use_the_oracle():
     names = oracle_names()
     assert {"bruteforce_nilpotents", "enumerate_ideals", "DEFAULT_BUDGET"} <= names
@@ -80,6 +89,21 @@ def test_the_radicals_do_not_use_the_oracle():
 ])
 def test_the_scan_finds_is_ideal(source, want):
     assert uses(source, {"is_ideal"}) == want
+
+
+@pytest.mark.parametrize("source,want", [
+    ("from .ideals import _quotient\n", [1]),
+    ("from . import ideals\n", [1]),
+    ("import novikov.ideals as ideal_module\n", [1]),
+    ("from .core import terms, verify_identity\n", [1]),
+    ("from .exactlin import Subspace, int_solve\n", [1]),
+    ("Q, proj = quotient(A, I)\n", [1]),
+    ("ok = core.verify_identity(Q, 'associative').ok\n", [1]),
+    ("from .core import terms\nx = quotient_intersection(A, 'field')\n", []),
+    ('"""no quotient(A, I) and no int_solve"""\n', []),
+])
+def test_the_scan_finds_quotient_machinery(source, want):
+    assert uses(source, QUOTIENT_MACHINERY) == want
 
 
 @pytest.mark.parametrize("source,want", [
