@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .constructions import gd_construct
 from .core import verify_identity
-from .dsl import (ParseError, doc_from_algebra, parse_algebra_source,
+from .dsl import (ParseError, _check_digits, doc_from_algebra, parse_algebra_source,
                   parse_element_combo, serialize_algebra_doc)
 from .errors import WorkbenchError
 from .exactlin import Subspace
@@ -286,7 +286,7 @@ def build_parser():
         p.add_argument("path", help="algebra definition file")
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable JSON report")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", default="1",
                        help="worker hint; analysis is deterministic regardless")
 
     common(sub.add_parser("check", help="run the identity suite"))
@@ -318,7 +318,7 @@ def build_parser():
     p.add_argument("--element", required=True)
     p.add_argument("--ideal", action="append",
                    help="generator combination; may repeat")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
 
     p = sub.add_parser("oracle", help="brute-force ground truth (prime fields)")
     common(p)
@@ -342,8 +342,39 @@ def _to_stdout(write, *args):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _int_option(name, text):
+    """The integer value of option ``--name``.  argparse would echo a bad
+    value whole, so a value that is not an integer, or is too long for
+    Python to parse, is a :class:`ParseError` naming only its head."""
+    try:
+        _check_digits(text, 1, 1)
+        return int(text)
+    except ParseError as exc:
+        raise ParseError(f"--{name}: {exc.message}", 1, 1) from None
+    except ValueError:
+        raise ParseError(f"--{name} needs an integer, not {text[:12]!r}", 1, 1) from None
+
+
+def _parse_error(args, exc):
+    """Report a parse error, as JSON when asked for; exit code 2."""
+    if args.json:
+        payload = {"version": __version__,
+                   "error": {"code": "PARSE_ERROR", "message": exc.message,
+                             "line": exc.line, "col": exc.col}}
+        _to_stdout(sys.stdout.write, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        print(f"parse error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        args.threads = _int_option("threads", args.threads)
+        if args.command == "certify":
+            args.n = _int_option("n", args.n)
+    except ParseError as exc:
+        return _parse_error(args, exc)
     if args.threads < 1:
         print("thread count must be positive", file=sys.stderr)
         return 1
@@ -356,15 +387,7 @@ def main(argv=None):
     try:
         doc = parse_algebra_source(text)
     except ParseError as exc:
-        if args.json:
-            payload = {"version": __version__,
-                       "error": {"code": "PARSE_ERROR", "message": exc.message,
-                                 "line": exc.line, "col": exc.col}}
-            _to_stdout(sys.stdout.write,
-                       json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        else:
-            print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        return _parse_error(args, exc)
 
     options = {k: v for k, v in vars(args).items()
                if k not in ("command", "path", "json", "threads")}

@@ -272,19 +272,6 @@ def classify(A):
 # quotients
 # ---------------------------------------------------------------------------
 
-def quotient_section(I):
-    """Matrix lifting quotient coordinates back into the ambient space by
-    placing them at the non-pivot coordinates of I's echelon basis."""
-    F = I.field
-    comp = [c for c in range(I.ambient_dim) if c not in set(I.pivots)]
-    cols = []
-    for c in comp:
-        v = [F.zero] * I.ambient_dim
-        v[c] = F.one
-        cols.append(tuple(v))
-    return Matrix.from_columns(F, cols, nrows=I.ambient_dim)
-
-
 @lru_cache(maxsize=1024)
 def quotient(A, I):
     """Quotient algebra on the complement coordinates plus the projection.
@@ -313,9 +300,3 @@ def quotient(A, I):
     names = tuple(A.basis_names[c] for c in comp)
     return AlgebraTable.from_products(F, qdim, products, names), proj
 
-
-def preimage_under_quotient(A, I, S):
-    """Preimage in A of a subspace S of the quotient A/I."""
-    sec = quotient_section(I)
-    lifted = [sec.mat_vec(v) for v in S.rows]
-    return Subspace.span(A.field, list(I.rows) + lifted, A.dim)

@@ -1,11 +1,12 @@
 """Radicals of Lie-solvable Novikov algebras over fields of characteristic
 other than two, plus quasiregularity solvers and bound certificates.
 
-The computation route goes through the commutative associative quotient by
-the commutator ideal: its nilradical pulls back to the Baer radical, and in
-finite dimension the left-quasiregular radical coincides with it.  Each
-field has one nilradical route: over QQ the kernel of the trace form on the
-unital hull, over GF(p) the kernel of the Frobenius map x -> x^(p^m).
+The computation route works modulo the commutator ideal K on A's own
+coordinates, with no quotient algebra: A/K is commutative associative,
+the x nilpotent modulo K form the Baer radical, and in finite dimension
+the left-quasiregular radical coincides with it.  Each field has one
+nilradical route: over QQ the kernel of the trace form of A/K's unital
+hull, over GF(p) the kernel of the Frobenius map x -> x^(p^m) modulo K.
 Every report carries re-checkable certificates.
 """
 
@@ -15,16 +16,13 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .constructions import adjoin_unit
 from .core import terms, verify_identity
 from .errors import (BudgetExceededError, CharTwoError, NotAnIdealError,
                      NotCommutativeAssociativeError, NotLieSolvableError,
                      PreconditionError, WorkbenchError)
 from .exactlin import (Matrix, Subspace, from_int_vector, int_solve, int_vector,
                        kernel, vec_add, vec_is_zero)
-from .ideals import (chain, commutator_ideal, is_ideal,
-                     preimage_under_quotient, quotient, quotient_section,
-                     subspace_product)
+from .ideals import chain, commutator_ideal, is_ideal, subspace_product
 
 CLAIM_TAGS = ("lemma1", "lemma3", "theorem1", "lifting", "quasireg", "tower")
 
@@ -58,45 +56,53 @@ class RadicalReport:
 # ---------------------------------------------------------------------------
 
 def nilradical_commutative(A):
-    """Nilpotent elements of a commutative associative algebra as a subspace.
-
-    Over QQ: adjoin a unit and take the kernel in A of the trace form
-    beta(x, y) = trace(L_{xy}) on the hull, the ``a`` in A with
-    ``beta(a, y) = 0`` for every y in the hull.
-
-    Over GF(p): x -> x^p is GF(p)-linear on a commutative algebra of
-    characteristic p, and so is its power x -> x^q for q = p^m.  With q the
-    least such power with q >= dim + 1, x is nilpotent exactly when
-    x^q = 0, so the nilradical is the kernel of the matrix whose columns
-    are the e_i^q, each found by square-and-multiply.
-    """
+    """Nilpotent elements of a commutative associative algebra as a subspace:
+    :func:`_nilradical_mod` modulo the zero ideal."""
     if not verify_identity(A, "commutative").ok or not verify_identity(A, "associative").ok:
         raise NotCommutativeAssociativeError(
             "nilradical route requires a commutative associative algebra")
+    return _nilradical_mod(A, A.zero_space())
+
+
+def _nilradical_mod(A, K):
+    """The x in A nilpotent modulo the ideal K, for A/K commutative
+    associative, on A's own coordinates: ``K.residual_canonical`` reads
+    A/K on K's non-pivot coordinates.
+
+    Over QQ: with tau(v) = trace(L_v) on A/K, the kernel of the trace form
+    (u, v) -> tau(uv) on A/K's unital hull, whose rows are tau itself (the
+    unit) and x -> tau(x e_j) for every j.  tau vanishes on the ideal K.
+
+    Over GF(p): x -> x^q is GF(p)-linear on A/K for q = p^m.  With q the
+    least such power with q >= dim A/K + 1, x is nilpotent modulo K exactly
+    when x^q lies in K: the kernel of the e_i^q reduced modulo K.
+    """
     F, d = A.field, A.dim
     if F.p is not None:
         q = F.p
-        while q <= d:
+        while q <= d - K.dim:
             q *= F.p
-        cols = [_int_power(A, [int(k == i) for k in range(d)], q) for i in range(d)]
+        cols = [K.residual_canonical(_int_power(A, [int(k == i) for k in range(d)], q))
+                for i in range(d)]
         return kernel(Matrix.from_columns(F, cols, nrows=d))
-    hull = adjoin_unit(A)
-    n = hull.dim
-    # trace(L_{e_k}): the coefficient of e_i in e_k e_i, summed over i
-    traces = [sum(c for i, ts in enumerate(hull.index[k]) for t, c in ts if t == i)
-              for k in range(n)]
-    # A sits in the hull as the first d coordinates; beta is symmetric, so
-    # row j of the Gram matrix on those columns is beta(e_j, -) on A
-    gram = [[F.zero] * d for _ in range(n)]
-    for j, i, terms in hull.nonzero_products():
-        if i < d:
-            gram[j][i] = sum(c * traces[k] for k, c in terms)
+    pivots = set(K.pivots)
+    # tau(e_k): the coefficient of e_c in e_k e_c modulo K over K's
+    # non-pivot c
+    tau = [F.zero] * d
+    for k, c, _ in A.nonzero_products():
+        if c not in pivots:
+            tau[k] += K.residual_canonical(A.basis_product(k, c))[c]
+    # row j + 1 of the Gram matrix is x -> tau(x e_j)
+    gram = [tau] + [[F.zero] * d for _ in range(d)]
+    for i, j, ts in A.nonzero_products():
+        gram[j + 1][i] = sum(c * tau[m] for m, c in ts)
     return kernel(Matrix(F, gram, ncols=d))
 
 
 def _int_power(A, x, e):
-    """x^e for an integer vector x over GF(p) and e >= 1, by left-to-right
-    square and multiply on ``int_multiply``; A is power-associative."""
+    """x^e for an integer vector x over GF(p) and e >= 1, in one bracketing,
+    by left-to-right square and multiply on ``int_multiply``; every
+    bracketing agrees modulo an ideal with an associative quotient."""
     xs, out = terms(x), x
     for bit in bin(e)[3:]:
         out = A.int_multiply(terms(out), terms(out))
@@ -106,10 +112,13 @@ def _int_power(A, x, e):
 
 
 # ---------------------------------------------------------------------------
-# radical preconditions and the shared quotient route
+# radical preconditions and the shared route modulo the commutator ideal
 # ---------------------------------------------------------------------------
 
 def _require_radical_preconditions(A):
+    """Refuse an algebra outside the radical route.  Past these checks A/K
+    is commutative associative for K = [A, A]: a commutative left-symmetric
+    algebra has (x, y, z) = -(x, y, z)."""
     if A.field.characteristic == 2:
         raise CharTwoError("radical route needs characteristic other than two")
     rep = verify_identity(A, "novikov")
@@ -121,28 +130,18 @@ def _require_radical_preconditions(A):
         raise NotLieSolvableError("radical route requires a Lie-solvable algebra")
 
 
-def _commutative_quotient(A):
-    K = commutator_ideal(A, A.full_space())
-    Q, proj = quotient(A, K)
-    if not (verify_identity(Q, "commutative").ok and verify_identity(Q, "associative").ok):
-        # impossible for a genuine Novikov input
-        raise RuntimeError("quotient by the commutator ideal is not commutative associative")
-    return K, Q, proj
-
-
 @lru_cache(maxsize=256)
 def _radical_subspace(A):
-    """``(K, rad, route)``: the commutator ideal K, the preimage rad in A of
-    the nilradical of A/K, and the route taken.  One derivation per
-    algebra, shared by both radicals and the ``tower`` check; an algebra
-    outside the route raises, and nothing is cached for it."""
+    """``(K, rad, route)``: the commutator ideal K, the x in A nilpotent
+    modulo K, and the route taken.  One derivation per algebra, shared by
+    both radicals and the ``tower`` check; an algebra outside the route
+    raises, and nothing is cached for it."""
     _require_radical_preconditions(A)
-    K, Q, proj = _commutative_quotient(A)
-    nil = nilradical_commutative(Q)
+    K = commutator_ideal(A, A.full_space())
+    rad = _nilradical_mod(A, K)
     route = "A/[A,A] nilradical preimage; nilradical via " + (
         "trace-form kernel on the unital hull" if A.field.p is None
         else "Frobenius kernel x -> x^(p^m)")
-    rad = preimage_under_quotient(A, K, nil)
     if not is_ideal(A, rad):  # guaranteed by the construction
         raise RuntimeError("radical preimage failed the ideal check")
     return K, rad, route
@@ -192,35 +191,45 @@ def lqr_radical(A):
 # ---------------------------------------------------------------------------
 
 def quasiregular_solve(A, x, side="left"):
-    """Solve x + y = yx (left) or x + y = xy (right) for y, or None.
-
-    Left quasiregularity is the linear system (R_x - Id) y = x; right uses
-    L_x.  With x = X / d for an integer vector X, the system is solved on
-    integer rows scaled by s = D d (see ``AlgebraTable.int_scale``): the
-    columns are the integer products s (e_j x) or s (x e_j), the diagonal
-    loses s, and the right-hand side is D X.  The returned witness is
-    re-verified on integer products.
-    """
+    """Solve x + y = yx (left) or x + y = xy (right) for y, or None:
+    :func:`_quasiregular_mod` modulo the zero ideal."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    x = A.element(x)
+    return _quasiregular_mod(A, A.element(x), side, A.zero_space())
+
+
+def _quasiregular_mod(A, x, side, K):
+    """Some y on K's non-pivot coordinates with x + y - yx (left) or
+    x + y - xy (right) in the ideal K, or None.
+
+    With x = X / d for an integer vector X and s = D d (see
+    ``AlgebraTable.int_scale``), this is one integer solve: the unknowns
+    are the coefficients of K's rows, then y; the columns are K's rows,
+    then s (e_j x) - s e_j or s (x e_j) - s e_j for each non-pivot j; the
+    right-hand side is D X.  With K's columns first, a coordinate of y is
+    free exactly when it is free modulo K, and free ones are zero.  The
+    witness is re-verified on integer products.
+    """
     F, n, D = A.field, A.dim, A.int_scale
     xe = int_vector(F, x)
     xi, dx = xe
-    if side == "left":
-        cols = [A.int_left_mul(j, xi) for j in range(n)]
-    else:
-        cols = [A.int_right_mul(xi, j) for j in range(n)]
+    pivots = set(K.pivots)
+    free = [j for j in range(n) if j not in pivots]
+    cols = list(K.int_rows)
+    for j in free:
+        cols.append(A.int_left_mul(j, xi) if side == "left" else A.int_right_mul(xi, j))
+        cols[-1][j] -= D * dx
     rows = [[col[i] for col in cols] + [D * xi[i]] for i in range(n)]
-    for i, row in enumerate(rows):
-        row[i] -= D * dx
     if F.p is not None:
         rows = [[a % F.p for a in row] for row in rows]
-    y = int_solve(F, rows, n)
-    if y is None:
+    solved = int_solve(F, rows, len(cols))
+    if solved is None:
         return None
+    y = [0] * n, solved[1]
+    for j, a in zip(free, solved[0][K.dim:]):
+        y[0][j] = a
     prod = _product(A, y, xe) if side == "left" else _product(A, xe, y)
-    if any(_combine(F, (1, xe), (1, y), (-1, prod))[0]):
+    if not K.contains_int(_combine(F, (1, xe), (1, y), (-1, prod))[0]):
         raise RuntimeError("quasiregularity witness failed re-verification")
     return from_int_vector(F, *y)
 
@@ -250,50 +259,52 @@ def _combine(field, *parts):
     return [a // g for a in out], den // g
 
 
-@lru_cache(maxsize=256)
-def _lift_context(A):
-    _require_radical_preconditions(A)
-    K, Q, proj = _commutative_quotient(A)
-    return K, chain(A, "right", base=K), Q, proj, quotient_section(K)
-
-
-def quasi_inverse_lift(A, x):
-    """Left quasi-inverse of x by lifting from the commutative quotient.
-
-    Solve quasiregularity of the image of x in A/[A,A] linearly, lift any
-    preimage y, and correct it: with v = -(x + y - yx) in the n-th
-    left-normed power of the commutator ideal, the update
-    y <- y + v - vy + (v, y, y) pushes v into the (n+1)-st power.  The
-    loop ends within the right-nilpotency index of the commutator ideal.
-    The residual and the update run on integer vectors with one
-    denominator in lowest terms.
-    Returns (y, certificate), or None when the quotient step is unsolvable
-    (x is not left-quasiregular, matching :func:`quasiregular_solve`).
-    """
-    x = A.element(x)
+def _lift_corrections(A, xe, y, kchain):
+    """``(y, steps)``: the lift's corrections from a pair y to a left
+    quasi-inverse of the pair xe, or None once a residual leaves its power
+    of K, the first term of ``kchain``; :func:`check_certificate` replays
+    them."""
     F = A.field
-    K, kchain, Q, proj, sec = _lift_context(A)
-    yq = quasiregular_solve(Q, proj.mat_vec(x), side="left")
-    if yq is None:
-        return None
-    initial = sec.mat_vec(yq)
-    xe, y = int_vector(F, x), int_vector(F, initial)
     steps = []
     n = 1
     while True:
         v = _combine(F, (1, _product(A, y, xe)), (-1, xe), (-1, y))
         if not any(v[0]):  # x + y = yx
-            break
-        if n > len(kchain.terms):
-            raise RuntimeError("lifting failed to terminate within the "
-                               "right-nilpotency index of the commutator ideal")
-        if not kchain.terms[n - 1].contains_int(v[0]):
-            raise RuntimeError(f"lifting residual left power {n} of the commutator ideal")
+            return y, steps
+        if n > len(kchain.terms) or not kchain.terms[n - 1].contains_int(v[0]):
+            return None
         steps.append({"n": n, "residual": from_int_vector(F, *v)})
         vy = _product(A, v, y)
         y = _combine(F, (1, y), (1, v), (-1, vy), (1, _product(A, vy, y)),
                      (-1, _product(A, v, _product(A, y, y))))
         n += 1
+
+
+def quasi_inverse_lift(A, x):
+    """Left quasi-inverse of x by lifting from A modulo the commutator
+    ideal K.
+
+    Solve quasiregularity of x modulo K linearly, and correct that y: with
+    v = -(x + y - yx) in the n-th left-normed power of K, the update
+    y <- y + v - vy + (v, y, y) pushes v into the (n+1)-st power.  The
+    loop ends within the right-nilpotency index of K.  The residual and
+    the update run on integer vectors with one denominator in lowest terms.
+    Returns (y, certificate), or None when the step modulo K is unsolvable
+    (x is not left-quasiregular, matching :func:`quasiregular_solve`).
+    """
+    x = A.element(x)
+    F = A.field
+    _require_radical_preconditions(A)
+    K = commutator_ideal(A, A.full_space())
+    initial = _quasiregular_mod(A, x, "left", K)
+    if initial is None:
+        return None
+    kchain = chain(A, "right", base=K)
+    lifted = _lift_corrections(A, int_vector(F, x), int_vector(F, initial), kchain)
+    if lifted is None:  # contradicts the lifting argument
+        raise RuntimeError("lifting residual left the left-normed powers of the "
+                           "commutator ideal")
+    y, steps = lifted
     y = from_int_vector(F, *y)
     cert = Certificate("lifting", {
         "element": x,
@@ -438,16 +449,21 @@ def check_certificate(A, cert):
         prod = A.multiply(y, x) if d["side"] == "left" else A.multiply(x, y)
         return vec_add(A.field, x, y) == prod
     if cert.claim == "lifting":
-        x, y = d["element"], d["quasi_inverse"]
-        if vec_add(A.field, x, y) != A.multiply(y, x):
+        # re-derive the index, then replay the corrections from the stored
+        # initial lift, whose residual must lie in K
+        try:
+            K = commutator_ideal(A, A.full_space())
+            kchain = chain(A, "right", base=K)
+        except WorkbenchError:
             return False
-        K = commutator_ideal(A, A.full_space())
-        kchain = chain(A, "right", base=K)
-        for step in d["steps"]:
-            term = kchain.terms[step["n"] - 1]
-            if not term.contains(step["residual"]):
-                return False
-        return True
+        F, y0 = A.field, A.element(d["initial_lift"])
+        if (d["commutator_right_nilpotency_index"] != kchain.index
+                or any(y0[c] for c in K.pivots)):
+            return False
+        lifted = _lift_corrections(A, int_vector(F, A.element(d["element"])),
+                                   int_vector(F, y0), kchain)
+        return (lifted is not None and lifted[1] == d["steps"]
+                and from_int_vector(F, *lifted[0]) == d["quasi_inverse"])
     # tower: the containment witness is re-derived on the stored radical,
     # so a radical that is not solvable fails on it; both subspaces are
     # then re-derived, so a radical that is too small fails as well

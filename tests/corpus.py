@@ -12,6 +12,11 @@ solutions read from it.
 ``random_element``, the basis products, ``operator_matrix`` and
 ``identity_matrix`` are the sampling and matrix helpers that only the tests
 use.
+
+``reference_radical`` and ``reference_initial_lift`` take the radical route
+through the quotient algebra A/[A,A] that ``quotient`` builds, which the
+radicals compute modulo the commutator ideal instead; ``rebased`` gives an
+algebra whose ideals are not spanned by basis vectors.
 """
 
 import random
@@ -23,8 +28,9 @@ from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
                                    truncated_poly, truncated_poly_derivation,
                                    weighted_euler_derivation, zero_algebra)
 from novikov.core import verify_identity
-from novikov.exactlin import from_int_vector, int_vector
-from novikov.ideals import classify, ideal_closure, quotient
+from novikov.exactlin import from_int_vector, int_vector, solve
+from novikov.ideals import classify, commutator_ideal, ideal_closure, quotient
+from novikov.radicals import nilradical_commutative, quasiregular_solve
 
 
 def a2(field=QQ):
@@ -254,3 +260,50 @@ def ref_solve(F, rows, b, ncols):
     for row, q in zip(work, pivots):
         y[q] = row[ncols]
     return tuple(y)
+
+
+# ---------------------------------------------------------------------------
+# the radical route through the quotient algebra
+# ---------------------------------------------------------------------------
+
+def section(I, v):
+    """The vector of A with the coordinates of v, a vector of
+    ``quotient(A, I)[0]``, on I's non-pivot coordinates and zero on its
+    pivots."""
+    out = [I.field.zero] * I.ambient_dim
+    for c, a in zip([c for c in range(I.ambient_dim) if c not in I.pivots], v):
+        out[c] = a
+    return tuple(out)
+
+
+def preimage(A, I, S):
+    """Preimage in A of a subspace S of the quotient A/I."""
+    return Subspace.span(A.field, list(I.rows) + [section(I, v) for v in S.rows], A.dim)
+
+
+def rebased(A, rng):
+    """A in the basis f_i = e_i + sum over k < i of c_k e_k, with random
+    c_k in {-1, 0, 1}: an isomorphic copy whose ideals, such as [A,A], are
+    rarely spanned by basis vectors."""
+    F, n = A.field, A.dim
+    fs = [tuple(F.one if k == i else F.of_int(rng.randint(-1, 1)) if k < i else F.zero
+                for k in range(n)) for i in range(n)]
+    P = Matrix.from_columns(F, fs, nrows=n)
+    return AlgebraTable.from_products(F, n, {(i, j): solve(P, A.multiply(u, v))
+                                             for i, u in enumerate(fs)
+                                             for j, v in enumerate(fs)})
+
+
+def reference_radical(A):
+    """The preimage of the nilradical of the quotient algebra A/[A,A]."""
+    K = commutator_ideal(A, A.full_space())
+    return preimage(A, K, nilradical_commutative(quotient(A, K)[0]))
+
+
+def reference_initial_lift(A, x):
+    """The section of the left quasi-inverse of x's image in A/[A,A], or
+    None when that image is not left-quasiregular."""
+    K = commutator_ideal(A, A.full_space())
+    Q, proj = quotient(A, K)
+    y = quasiregular_solve(Q, proj.mat_vec(A.element(x)), side="left")
+    return None if y is None else section(K, y)

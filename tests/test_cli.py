@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov import __version__
 from novikov.cli import main, run_report
@@ -323,6 +327,99 @@ def test_an_over_long_number_is_a_short_parse_error(tmp_path, capsys, text, argv
     assert "5000 digits" in error["message"]
     assert len(error["message"]) < 200
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", fixture_path("tpoly4"), "--claim", "lemma1", "--element", "t",
+     "--n", LONG_NUMBER],
+    ["check", fixture_path("a2"), "--threads", LONG_NUMBER],
+], ids=["n", "threads"])
+def test_an_over_long_integer_option_is_a_short_parse_error(argv, capsys):
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "PARSE_ERROR"
+    assert f"--{argv[-2][2:]}: " in error["message"]
+    assert "5000 digits" in error["message"]
+    assert len(error["message"]) < 200
+
+
+@pytest.mark.parametrize("option", ["--n", "--threads"])
+@pytest.mark.parametrize("value", ["two", "1.5", "7" * 300 + "x"],
+                         ids=["word", "decimal", "long"])
+def test_a_non_integer_option_is_a_parse_error(option, value, capsys):
+    argv = ["certify", fixture_path("tpoly4"), "--claim", "lemma1", "--element", "t",
+            "--n", "2", "--threads", "1", "--json"]
+    argv[argv.index(option) + 1] = value
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"code": "PARSE_ERROR", "line": 1, "col": 1,
+                     "message": f"{option} needs an integer, not {value[:12]!r}"}
+    code = main(argv[:-1])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the document grammar through the CLI
+# ---------------------------------------------------------------------------
+
+FUZZ_NAMES = ("e1", "e2", "e3")
+FUZZ_TOKENS = ("field", "rational", "gf", "basis", "mul", "map", "d", "=", "+", "-",
+               "*", "0", "1", "2", "3", "5", "1/2", "-1", "#") + FUZZ_NAMES
+
+
+FUZZ_FIELDS = ("field rational", "field gf 3", "field gf 5") * 3 + (
+    "field gf 2", "field gf 4", "field gf")
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A document of grammar lines with, in half the draws, a few lines of
+    random tokens or junk put among them."""
+    basis = draw(st.lists(st.sampled_from(FUZZ_NAMES), min_size=1, max_size=3,
+                          unique=True))
+    names = st.sampled_from(basis)
+    coeff = st.sampled_from(["", "", "2*", "3*", "0*", "1/2*"])
+    combo = st.lists(st.tuples(st.sampled_from([" + ", " - "]), coeff, names),
+                     min_size=1, max_size=3).map(lambda ts: "".join(map("".join, ts))[3:])
+    products = draw(st.dictionaries(st.tuples(names, names), combo, max_size=6))
+    maps = draw(st.dictionaries(names, combo, max_size=3))
+    lines = [draw(st.sampled_from(FUZZ_FIELDS)), "basis " + " ".join(basis)]
+    lines += [f"mul {a} {b} = {rhs}" for (a, b), rhs in products.items()]
+    lines += [f"map d {a} = {rhs}" for a, rhs in maps.items()]
+    if draw(st.booleans()):
+        noise = st.one_of(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=7).map(" ".join),
+                          st.text(alphabet="efgdm123/=+-*#\t x()", max_size=12))
+        for text in draw(st.lists(noise, min_size=1, max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))), text)
+    return "\n".join(lines) + "\n"
+
+
+FUZZ_COMMANDS = [
+    ["check"],
+    ["series", "--kind", "full"],
+    ["radical", "--kind", "lqr"],
+    ["quasi-inverse", "--element", "e1 + e2", "--side", "left", "--lift"],
+    ["certify", "--claim", "theorem1", "--element", "e1", "--ideal", "e2", "--n", "2"],
+    ["oracle", "--task", "tower"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_documents(), st.sampled_from(FUZZ_COMMANDS))
+def test_fuzzed_documents_give_a_coded_report(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz.alg"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(command[:1] + [str(path)] + command[1:] + ["--json"])
+    assert code in {0, 1, 2, 3}, err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue())
 
 @pytest.mark.parametrize("argv", [
     ["series", fixture_path("ex1k3"), "--kind", "full"],

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import a2, field_algebra, gf2_commutative_population, gf3_population
+from corpus import (a2, field_algebra, gf2_commutative_population, gf3_population,
+                    preimage)
 from novikov import GF, QQ, AlgebraTable, Subspace, oracle
 from novikov.constructions import zero_algebra
 from novikov.core import verify_identity
 from novikov.errors import BudgetExceededError, WorkbenchError
-from novikov.ideals import (commutator_ideal, is_ideal, is_trivial_ideal,
-                            preimage_under_quotient, quotient)
+from novikov.ideals import commutator_ideal, is_ideal, is_trivial_ideal, quotient
 from novikov.oracle import (bruteforce_baer_tower, bruteforce_nilpotents,
                             enumerate_ideals, enumerate_subspaces,
                             enumerate_vectors, power_iteration_index,
@@ -216,7 +216,7 @@ def reference_tower(A, budget=None):
         for S in enumerate_subspaces(Q.field, Q.dim, budget):
             if is_trivial_ideal(Q, S):
                 stage = stage.sum(S)
-        nxt = preimage_under_quotient(A, current, stage)
+        nxt = preimage(A, current, stage)
         if nxt == current:
             return tower or [current]
         tower.append(nxt)

@@ -6,7 +6,9 @@
   identity checks or the linear solver: it decides quotients on points;
 - ``novikov/radicals.py`` neither imports ``oracle`` nor names anything the
   oracle defines, so the radicals never compute their answer with the
-  module that cross-checks it.
+  module that cross-checks it;
+- ``novikov/radicals.py`` builds no quotient algebra and no unital hull:
+  it works modulo the commutator ideal on A's own coordinates.
 
 The scan reads the syntax tree, so strings, docstrings and comments do not
 count.
@@ -73,6 +75,11 @@ def test_the_oracle_builds_and_solves_no_quotient():
 def test_the_radicals_do_not_use_the_oracle():
     names = oracle_names()
     assert {"bruteforce_nilpotents", "enumerate_ideals", "DEFAULT_BUDGET"} <= names
+    assert uses(RADICALS.read_text(encoding="utf-8"), names) == []
+
+
+def test_the_radicals_build_no_quotient_algebra():
+    names = {"quotient", "quotient_section", "preimage_under_quotient", "adjoin_unit"}
     assert uses(RADICALS.read_text(encoding="utf-8"), names) == []
 
 

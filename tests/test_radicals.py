@@ -1,12 +1,15 @@
+import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import (a2, field_algebra, identity_matrix, operator_matrix, q_corpus,
-                    random_element)
+                    random_element, rebased, reference_initial_lift,
+                    reference_radical)
 from novikov import GF, QQ, AlgebraTable, Subspace
 from novikov.constructions import (adjoin_unit, direct_sum, example1_algebra,
                                    gd_construct, random_commutative_pair,
@@ -383,6 +386,70 @@ def test_lift_agrees_with_solve_on_corpus():
             y, cert = lifted
             assert vec_add(A.field, x, y) == A.multiply(y, x), name
             assert len(cert.data["steps"]) <= bound, name
+
+
+@pytest.mark.parametrize("forge", [
+    lambda d: d.update(initial_lift=(Fraction(7),) * len(d["initial_lift"])),
+    lambda d: d.update(commutator_right_nilpotency_index=99),
+    lambda d: d.update(steps=[]),
+    lambda d: d["steps"][0].update(residual=(Fraction(0),) * len(d["element"])),
+], ids=["initial-lift", "index", "no-steps", "zero-residual"])
+def test_a_forged_lifting_certificate_is_rejected(forge):
+    A = gd_tpoly(6)
+    _, cert = quasi_inverse_lift(A, A.basis_vector(0))
+    assert cert.data["steps"] and check_certificate(A, cert)
+    data = copy.deepcopy(cert.data)
+    forge(data)
+    assert not check_certificate(A, Certificate("lifting", data))
+
+
+# ---------------------------------------------------------------------------
+# the route modulo the commutator ideal against the quotient algebra
+# ---------------------------------------------------------------------------
+
+def commutative_pairs():
+    """A field with its largest dimension, and a seed for
+    ``random_commutative_pair``."""
+    return st.tuples(st.sampled_from([(QQ, 6), (GF(3), 6), (GF(5), 5), (GF(7), 5)]),
+                     st.integers(0, 2 ** 32 - 1))
+
+
+def drawn_algebras(case):
+    """``(rng, (B, gd(B, d), gd(B, d) rebased))`` for one draw of
+    :func:`commutative_pairs`."""
+    (F, max_dim), seed = case
+    rng = random.Random(seed)
+    B, d = random_commutative_pair(rng, max_dim=max_dim, field=F)
+    A = gd_construct(B, d)
+    return rng, (B, A, rebased(A, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(commutative_pairs())
+def test_radical_and_initial_lift_match_the_quotient_algebra_route(case):
+    rng, algebras = drawn_algebras(case)
+    for A in algebras:
+        if classify(A).lie_solvable is None:
+            continue
+        assert baer_radical(A).radical == reference_radical(A)
+        for x in [A.basis_vector(0)] + [random_element(A, rng) for _ in range(3)]:
+            lifted = quasi_inverse_lift(A, x)
+            want = reference_initial_lift(A, x)
+            assert (lifted is None) == (want is None)
+            if lifted is not None:
+                assert lifted[1].data["initial_lift"] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(commutative_pairs())
+def test_every_basis_associator_lies_in_the_commutator_ideal(case):
+    # A/[A,A] is commutative and left-symmetric, so (x, y, z) = -(x, y, z)
+    # there: the radical route needs no associativity check of A/[A,A]
+    for A in drawn_algebras(case)[1]:
+        K = commutator_ideal(A, A.full_space())
+        es = A.basis_vectors()
+        for i, j, k in product(range(A.dim), repeat=3):
+            assert K.contains(A.associator(es[i], es[j], es[k]))
 
 
 # ---------------------------------------------------------------------------
