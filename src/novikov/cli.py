@@ -367,8 +367,21 @@ def _parse_error(args, exc):
     return 2
 
 
+def _double_dash(value):
+    """The option value as given: argparse reads the value ``--`` (as in
+    ``--element=--``) as an empty list, so that text is put back, for the
+    option's own parser to reject."""
+    if value == []:
+        return "--"
+    if isinstance(value, list):
+        return [_double_dash(v) for v in value]
+    return value
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    for name, value in list(vars(args).items()):
+        setattr(args, name, _double_dash(value))
     try:
         args.threads = _int_option("threads", args.threads)
         if args.command == "certify":

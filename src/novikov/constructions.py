@@ -9,10 +9,12 @@ rejection sampling over all matrices.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .core import AlgebraTable, verify_identity
 from .errors import (DimensionMismatchError, FieldMismatchError,
                      NotADerivationError, NotCommutativeAssociativeError)
-from .exactlin import QQ, Matrix, vec_add, vec_scale, vec_zeros
+from .exactlin import QQ, Matrix, int_matrix, vec_add, vec_scale, vec_zeros
 
 
 def gd_construct(B, d, check=True):
@@ -30,17 +32,20 @@ def gd_construct(B, d, check=True):
         raise NotADerivationError(
             f"map fails the product rule on basis pair {leib.failure.indices}")
     # e_i . e_j = e_i d(e_j) = sum_m d_mj e_i e_m, over B's nonzero
-    # products e_i e_m and the nonzero entries d_mj of row m of d
-    drows = [[(j, a) for j, a in enumerate(row) if a] for row in d.rows]
+    # products e_i e_m and the nonzero entries d_mj of row m of d, in
+    # integers: B's constants times D and d's entries times e, so that the
+    # sums are D e times the constants of the result
+    rows, e = int_matrix(d)
+    drows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
     products = {}
-    for i, m, terms in B.nonzero_products():
+    for i, m, terms in B._int_products():
         for j, a in drows[m]:
             out = products.setdefault((i, j), {})
             for k, c in terms:
                 out[k] = out.get(k, 0) + a * c
-    A = AlgebraTable._from_terms(B.field, B.dim, {ij: out.items()
-                                                  for ij, out in products.items()},
-                                 B.basis_names)
+    A = AlgebraTable._from_int_terms(B.field, B.dim, {ij: out.items()
+                                                      for ij, out in products.items()},
+                                     B._den * e, B.basis_names)
     if check:
         rep = verify_identity(A, "novikov")
         if not rep.ok:  # unreachable when the preconditions hold
@@ -119,30 +124,32 @@ def adjoin_unit(A):
     F = A.field
     dim = A.dim + 1
     u = A.dim
-    products = {(i, j): terms for i, j, terms in A.nonzero_products()}
+    products = {(i, j): terms for i, j, terms in A._int_products()}
     for i in range(dim):
-        products[(i, u)] = products[(u, i)] = ((i, F.one),)
+        products[(i, u)] = products[(u, i)] = ((i, A._den),)
     names = list(A.basis_names)
     uname = "unit"
     while uname in names:
         uname += "_"
-    return AlgebraTable._from_terms(F, dim, products, names + [uname])
+    return AlgebraTable._from_int_terms(F, dim, products, A._den, names + [uname])
 
 
 def direct_sum(A, B):
     """Block direct sum; the summands multiply to zero against each other."""
     if A.field != B.field:
         raise FieldMismatchError("direct summands over different fields")
-    F = A.field
     dim = A.dim + B.dim
-    products = {(i, j): terms for i, j, terms in A.nonzero_products()}
+    den = lcm(A._den, B._den)
+    sa, sb = den // A._den, den // B._den
+    products = {(i, j): [(k, sa * n) for k, n in terms]
+                for i, j, terms in A._int_products()}
     off = A.dim
-    for i, j, terms in B.nonzero_products():
-        products[(off + i, off + j)] = [(off + k, c) for k, c in terms]
+    for i, j, terms in B._int_products():
+        products[(off + i, off + j)] = [(off + k, sb * n) for k, n in terms]
     names = list(A.basis_names) + list(B.basis_names)
     if len(set(names)) != dim:
         names = [f"a_{n}" for n in A.basis_names] + [f"b_{n}" for n in B.basis_names]
-    return AlgebraTable._from_terms(F, dim, products, names)
+    return AlgebraTable._from_int_terms(A.field, dim, products, den, names)
 
 
 def zero_algebra(dim, field=QQ):

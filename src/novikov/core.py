@@ -1,10 +1,11 @@
 """Algebras presented by structure constants.
 
 An algebra is its nonzero structure constants: the terms ``(k, c)`` of each
-nonzero product ``e_i e_j = sum_k c e_k``.  Elements are plain coordinate
-tuples over the algebra's field.  This module provides the bilinear product,
-multiplication operators, associators, multilinear identity verification on
-basis tuples, left-normed powers and the r-nilpotency decision.
+nonzero product ``e_i e_j = sum_k c e_k``, stored as integers over one
+common denominator.  Elements are plain coordinate tuples over the
+algebra's field.  This module provides the bilinear product, multiplication
+operators, associators, multilinear identity verification on basis tuples,
+left-normed powers and the r-nilpotency decision.
 
 Tables are immutable and every operation is pure.
 """
@@ -12,27 +13,30 @@ Tables are immutable and every operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .exactlin import (Subspace, coerce_vector, from_int_vector, int_vector,
-                       vec_sub, vec_zeros)
+from .exactlin import (Subspace, coerce_vector, from_int_vector, int_matrix,
+                       int_vector, vec_sub, vec_zeros)
 
 
 class AlgebraTable:
     """Finite-dimensional algebra over an exact field, stored as its
-    nonzero structure constants.
+    nonzero structure constants in one integer form.
 
-    ``index[i][j]`` is the tuple of nonzero ``(k, c)`` terms of
-    ``e_i e_j = sum_k c e_k``, in increasing k; every other constant is
-    zero.  Scalars are canonical, so equal algebras have equal indexes and
-    equality and hashing read the index alone.  The hash is computed on
-    first use; it is a pure function of the index, so a race only computes
-    it twice.
+    ``_int_index[i][j]`` is the tuple of nonzero ``(k, n)`` terms of
+    ``e_i e_j = sum_k (n / D) e_k``, in increasing k, and ``_den`` is D,
+    the least common multiple of the reduced denominators (over GF(p) the
+    n are residues and D is 1).  The form is canonical, so equal algebras
+    have equal integer indexes and equality and hashing read it alone.
+    ``index`` holds the same terms as field scalars; over QQ its Fractions
+    are made on first read.  The hash and ``index`` are pure functions of
+    the integer form, so a race only computes them twice.
     """
 
-    __slots__ = ("field", "dim", "index", "basis_names", "_hash", "_int_index", "_den")
+    __slots__ = ("field", "dim", "basis_names", "_hash", "_int_index", "_den", "_index")
 
     def __init__(self, field, cube, basis_names=None):
         """Validate a dense ``dim x dim x dim`` cube ``c[i][j][k]``."""
@@ -43,43 +47,40 @@ class AlgebraTable:
                 raise DimensionMismatchError("structure cube is not dim x dim x dim")
             for j, v in enumerate(plane):
                 products[i, j] = _dense_terms(v, dim)
-        self._store(field, dim, products, basis_names)
+        self._store(field, dim, *_int_terms(field, products), basis_names)
 
-    def _store(self, field, dim, products, basis_names):
-        """The one storage route: build the index from ``{(i, j): terms}``,
-        the ``(k, c)`` terms of each nonzero product with raw scalars, which
-        are coerced and sorted here; terms that are zero or cancel mod p are
-        dropped.  The index's integer form is derived as
-        well: the structure constants times one positive D, the least
-        common denominator over QQ and 1 over GF(p), so that
-        ``e_i e_j = sum_k (n / D) e_k`` over the ``(k, n)`` of
-        ``_int_index[i][j]``."""
+    def _store(self, field, dim, products, den, basis_names):
+        """The one storage route: ``{(i, j): terms}`` over the nonzero
+        products, each an iterable of integer ``(k, n)`` terms with distinct
+        k, stand for ``e_i e_j = sum_k (n / den) e_k`` for a positive den
+        (1 over GF(p)).  Terms are sorted, reduced mod p over GF(p), zeros
+        are dropped, and over QQ the terms and den are divided by their one
+        gcd, which leaves den the least common reduced denominator."""
         if basis_names is None:
             basis_names = tuple(f"e{i + 1}" for i in range(dim))
         else:
             basis_names = tuple(basis_names)
             if len(basis_names) != dim:
                 raise DimensionMismatchError("basis name count differs from dim")
-        coerce = field.coerce
+        p = field.p
         index = [[()] * dim for _ in range(dim)]
         for (i, j), given in products.items():
-            kept = sorted([(k, coerce(c)) for k, c in given if c])
-            index[i][j] = tuple([(k, c) for k, c in kept if c])
+            if p is None:
+                index[i][j] = tuple(sorted([(k, n) for k, n in given if n]))
+            else:
+                index[i][j] = tuple(sorted([(k, n % p) for k, n in given if n % p]))
+        g = gcd(den, *[n for row in index for ts in row for _, n in ts])
+        if g != 1:
+            den //= g
+            index = [[tuple([(k, n // g) for k, n in ts]) for ts in row] for row in index]
         index = tuple(tuple(row) for row in index)
-        den = 1
-        int_index = index
-        if field.p is None:
-            den = lcm(*[c.denominator for row in index for ts in row for _, c in ts])
-            int_index = tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
-                                          for k, c in ts) for ts in row)
-                              for row in index)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_int_index", int_index)
+        object.__setattr__(self, "_int_index", index)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_index", index if p is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraTable is immutable")
@@ -96,10 +97,28 @@ class AlgebraTable:
     def _from_terms(cls, field, dim, products, basis_names=None):
         """Build a table from ``{(i, j): terms}`` over the nonzero
         products, each an iterable of ``(k, c)`` with distinct k and raw
-        scalars (see :meth:`_store`)."""
+        scalars, which are coerced to the field here."""
+        return cls._from_int_terms(field, dim, *_int_terms(field, products), basis_names)
+
+    @classmethod
+    def _from_int_terms(cls, field, dim, products, den, basis_names=None):
+        """Build a table from integer terms over a common denominator (see
+        :meth:`_store`)."""
         A = cls.__new__(cls)
-        A._store(field, dim, products, basis_names)
+        A._store(field, dim, products, den, basis_names)
         return A
+
+    @property
+    def index(self):
+        """``index[i][j]``: the nonzero ``(k, c)`` terms of ``e_i e_j`` in
+        increasing k, with c a field scalar."""
+        index = self._index
+        if index is None:
+            den = self._den
+            index = tuple(tuple(tuple([(k, Fraction(n, den)) for k, n in ts]) for ts in row)
+                          for row in self._int_index)
+            object.__setattr__(self, "_index", index)
+        return index
 
     @property
     def cube(self):
@@ -112,6 +131,14 @@ class AlgebraTable:
         """Yield ``(i, j, terms)`` for every nonzero ``e_i e_j``, in
         increasing ``(i, j)``, with the ``(k, c)`` terms of ``index[i][j]``."""
         for i, row in enumerate(self.index):
+            for j, terms in enumerate(row):
+                if terms:
+                    yield i, j, terms
+
+    def _int_products(self):
+        """:meth:`nonzero_products` with the integer ``(k, n)`` terms of
+        ``_int_index``, each n over the common denominator ``_den``."""
+        for i, row in enumerate(self._int_index):
             for j, terms in enumerate(row):
                 if terms:
                     yield i, j, terms
@@ -269,13 +296,13 @@ class AlgebraTable:
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraTable) and other.field == self.field
-                and other.index == self.index
+                and other._den == self._den and other._int_index == self._int_index
                 and other.basis_names == self.basis_names)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.field, self.index, self.basis_names))
+            h = hash((self.field, self._den, self._int_index, self.basis_names))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -314,56 +341,65 @@ def verify_identity(A, kind, derivation=None):
     """Check a multilinear identity on all basis tuples.
 
     Multilinearity makes the basis check complete.  Each law is a pair of
-    sparse tensors contracted from the nonzero structure constants only
-    (see :func:`_laws`).  A failing report carries the lexicographically
-    least tuple at which any law's sides differ, the first listed law that
-    differs there, and both sides.  Inputs are immutable, so results are
-    memoized.
+    sparse integer tensors contracted from the nonzero entries of the
+    integer index only (see :func:`_laws`).  A failing report carries the
+    lexicographically least tuple at which any law's sides differ, the
+    first listed law that differs there, and both sides, the only field
+    scalars made: each side divided by the law's scale.  Inputs are
+    immutable, so results are memoized.
     """
-    laws = _laws(A, kind, derivation)
+    laws, scale = _laws(A, kind, derivation)
     firsts = [_first_difference(lhs, rhs) for _, lhs, rhs in laws]
     found = [t for t in firsts if t is not None]
     if not found:
         return IdentityReport(kind, True)
     t = min(found)
     law, lhs, rhs = laws[firsts.index(t)]
-    zero = A.field.zero
-    lhs, rhs = (tuple(side.get(t, {}).get(k, zero) for k in range(A.dim))
+    lhs, rhs = (from_int_vector(A.field, [side.get(t, {}).get(k, 0) for k in range(A.dim)],
+                                scale)
                 for side in (lhs, rhs))
     return IdentityReport(kind, False, IdentityFailure(law, t, lhs, rhs))
 
 
 def _laws(A, kind, derivation):
-    """The ``(law, lhs, rhs)`` pairs of an identity kind.
+    """``(laws, scale)``: the ``(law, lhs, rhs)`` pairs of an identity kind,
+    each side scaled by the one positive integer scale.
 
-    Each side is a tensor: a dict from a basis tuple to the nonzero
-    coordinates ``{k: c}`` of that side there, absent meaning zero.
-    ``P`` is the product tensor ``(i, j) -> e_i e_j``.
+    Each side is a tensor: a dict from a basis tuple to the nonzero integer
+    coordinates ``{k: n}`` of scale times that side there, absent meaning
+    zero.  ``P`` is D times the product tensor ``(i, j) -> e_i e_j``, read
+    from the integer index.  Every law is homogeneous, so both of its sides
+    have the same scale: D for one product, D^2 for two, D^3 for three, and
+    D times the map's common denominator for the product rule.  Scaling
+    both sides by one positive integer changes neither where they differ
+    nor, over GF(p) where every scale is 1, anything at all.
     """
     F = A.field
-    P = {(i, j): dict(terms) for i, j, terms in A.nonzero_products()}
+    D = A._den
+    P = {(i, j): dict(ts) for i, j, ts in A._int_products()}
     if kind == "commutative":
-        return [("xy == yx", P, _swapped(P, 0, 1))]
+        return [("xy == yx", P, _swapped(P, 0, 1))], D
     if kind == "leibniz":
         if derivation is None:
             raise ValueError("leibniz check needs a linear map")
         _check_same_algebra(A, derivation)
-        D = {(j,): dict(col) for j in range(A.dim)
-             if (col := terms(derivation.column(j)))}  # (j,) -> d(e_j)
-        return [("d(xy) == d(x)y + x d(y)", _tensor(F, _apply(P, D)),
-                 _tensor(F, _substitute(P, 0, D), _substitute(P, 1, D)))]
+        rows, e = int_matrix(derivation)
+        M = {(j,): dict(col) for j, c in enumerate(zip(*rows))
+             if (col := terms(c))}  # (j,) -> e d(e_j)
+        return [("d(xy) == d(x)y + x d(y)", _tensor(F, _apply(P, M)),
+                 _tensor(F, _substitute(P, 0, M), _substitute(P, 1, M)))], D * e
     if kind not in ("associative", "novikov", "eq1"):
         raise ValueError(f"unknown identity kind {kind!r}")
     assoc = _tensor(F, _apply(P, P), minus=_substitute(P, 1, P))
     if kind == "associative":
-        return [("(xy)z == x(yz)", assoc, {})]
+        return [("(xy)z == x(yz)", assoc, {})], D * D
     if kind == "novikov":
         right = _tensor(F, _apply(P, P))  # (e_i e_j) e_k
         return [("(x,y,z) == (y,x,z)", assoc, _swapped(assoc, 0, 1)),
-                ("(xy)z == (xz)y", right, _swapped(right, 1, 2))]
+                ("(xy)z == (xz)y", right, _swapped(right, 1, 2))], D * D
     times = _tensor(F, _apply(assoc, P))  # (e_i, e_j, e_k) e_l
     return [("(x,y,z)t == (xt,y,z)", times, _tensor(F, _substitute(assoc, 0, P))),
-            ("(x,y,z)t == (x,yt,z)", times, _tensor(F, _substitute(assoc, 1, P)))]
+            ("(x,y,z)t == (x,yt,z)", times, _tensor(F, _substitute(assoc, 1, P)))], D ** 3
 
 
 def _tensor(field, *parts, minus=()):
@@ -372,20 +408,23 @@ def _tensor(field, *parts, minus=()):
     Residues are reduced and zeros dropped, so equal tensors are equal dicts.
     """
     acc = {}
-    for negate, contributions in [(False, part) for part in parts] + [(True, minus)]:
+    for sign, contributions in [(1, part) for part in parts] + [(-1, minus)]:
         for key, a, terms in contributions:
-            out = acc.setdefault(key, {})
-            if negate:
-                a = -a
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = {}
+            a *= sign
             for k, c in terms:
                 out[k] = out.get(k, 0) + a * c
     p = field.p
     tensor = {}
     for key, out in acc.items():
-        v = ({k: c for k, c in out.items() if c} if p is None
-             else {k: c % p for k, c in out.items() if c % p})
-        if v:
-            tensor[key] = v
+        if p is not None:
+            out = {k: c % p for k, c in out.items() if c % p}
+        elif not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        if out:
+            tensor[key] = out
     return tensor
 
 
@@ -436,6 +475,19 @@ def _first_difference(lhs, rhs):
 def terms(v):
     """The nonzero ``(k, c)`` coordinates of a vector."""
     return [(k, c) for k, c in enumerate(v) if c]
+
+
+def _int_terms(field, products):
+    """``(int products, den)``: raw-scalar ``{(i, j): (k, c) terms}``
+    coerced to the field and written over one common denominator, the
+    integer terms that :meth:`AlgebraTable._store` takes."""
+    coerce = field.coerce
+    products = {ij: [(k, coerce(c)) for k, c in given if c] for ij, given in products.items()}
+    if field.p is not None:
+        return products, 1
+    den = lcm(*[c.denominator for ts in products.values() for _, c in ts])
+    return {ij: [(k, c.numerator * (den // c.denominator)) for k, c in ts]
+            for ij, ts in products.items()}, den
 
 
 def _dense_terms(v, dim):

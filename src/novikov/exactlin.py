@@ -359,6 +359,15 @@ def int_vector(field, v):
     return [n * (den // d) for n, d in ratios], den
 
 
+def int_matrix(M):
+    """``(rows, den)`` with ``M.rows == rows / den``: the integer rows of a
+    matrix over one common denominator, the least over QQ and 1 over
+    GF(p)."""
+    n = M.ncols
+    flat, den = int_vector(M.field, [a for r in M.rows for a in r])
+    return [flat[i * n:(i + 1) * n] for i in range(M.nrows)], den
+
+
 def from_int_vector(field, ints, den=1):
     """The canonical vector ``ints / den``: one Fraction per nonzero
     coordinate over QQ.  Over GF(p) the ints must be residues already,
@@ -463,10 +472,13 @@ def echelon_insert(field, rows, pivots, v):
 
 
 def _echelon(field, vectors):
-    """``(rows, pivots)`` of the span of integer vectors."""
+    """``(rows, pivots)`` of the span of integer vectors.  Once the rows
+    span the whole space the rest are not reduced, but they are still
+    drawn, so a generator that validates its vectors checks every one."""
     rows, pivots = [], []
     for v in vectors:
-        echelon_insert(field, rows, pivots, v)
+        if len(rows) < len(v):
+            echelon_insert(field, rows, pivots, v)
     return rows, pivots
 
 

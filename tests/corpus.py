@@ -3,7 +3,8 @@
 ``q_corpus`` is the rational-field population (all dims <= 6, every member
 a verified Novikov algebra, hence Lie-solvable in characteristic zero);
 ``gf3_population`` and ``gf2_population`` are the small prime-field
-populations used against the brute-force oracle.
+populations used against the brute-force oracle.  The first two end with a
+``rebased`` copy of each member whose commutator ideal is nonzero.
 
 ``ref_gauss_jordan`` is the textbook elimination on field scalars that the
 integer echelon rows are checked against, with the spans, kernels and
@@ -12,6 +13,10 @@ solutions read from it.
 ``random_element``, the basis products, ``operator_matrix`` and
 ``identity_matrix`` are the sampling and matrix helpers that only the tests
 use.
+
+``reference_identity`` is the identity check contracted in field scalars
+(``Fraction`` over QQ) on ``index``, which ``verify_identity`` does in
+integers on the integer index instead.
 
 ``reference_radical`` and ``reference_initial_lift`` take the radical route
 through the quotient algebra A/[A,A] that ``quotient`` builds, which the
@@ -27,7 +32,7 @@ from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
                                    random_commutative_pair, split_idempotents,
                                    truncated_poly, truncated_poly_derivation,
                                    weighted_euler_derivation, zero_algebra)
-from novikov.core import verify_identity
+from novikov.core import IdentityFailure, IdentityReport, verify_identity
 from novikov.exactlin import from_int_vector, int_vector, solve
 from novikov.ideals import classify, commutator_ideal, ideal_closure, quotient
 from novikov.radicals import nilradical_commutative, quasiregular_solve
@@ -100,11 +105,22 @@ def q_corpus():
         add(f"rand_comm{idx}", B)
         add(f"gd_rand{idx}", gd_construct(B, d))
 
+    items += with_rebased_copies(items, random.Random(1729))
     for name, algebra in items:
         assert algebra.dim <= 6, name
         assert verify_identity(algebra, "novikov").ok, name
     assert len(items) >= 30
     return tuple(items)
+
+
+def with_rebased_copies(items, rng):
+    """A ``rebased`` copy of every member with a nonzero commutator ideal
+    [A,A], so that some copy's [A,A] is not spanned by basis vectors."""
+    copies = [(f"{name}_rebased", rebased(A, rng)) for name, A in items
+              if not commutator_ideal(A, A.full_space()).is_zero()]
+    assert any(sum(map(bool, row)) > 1 for _, A in copies
+               for row in commutator_ideal(A, A.full_space()).int_rows)
+    return copies
 
 
 def _gf_population(p):
@@ -149,6 +165,7 @@ def gf3_population():
         if classify(algebra).lie_solvable is None:
             continue
         out.append((name, algebra))
+    out += with_rebased_copies(out, random.Random(1729))
     assert len(out) >= 10
     return tuple(out)
 
@@ -307,3 +324,85 @@ def reference_initial_lift(A, x):
     Q, proj = quotient(A, K)
     y = quasiregular_solve(Q, proj.mat_vec(A.element(x)), side="left")
     return None if y is None else section(K, y)
+
+
+# ---------------------------------------------------------------------------
+# identity laws contracted in field scalars
+# ---------------------------------------------------------------------------
+
+def reference_identity(A, kind, derivation=None):
+    """The :class:`IdentityReport` of ``verify_identity(A, kind,
+    derivation)``, with every law's sides contracted as sparse tensors of
+    field scalars read from ``A.index`` and the map's columns."""
+    F, n = A.field, A.dim
+    P = {(i, j): dict(ts) for i, row in enumerate(A.index) for j, ts in enumerate(row) if ts}
+    if kind == "commutative":
+        laws = [("xy == yx", P, _ref_swapped(P, 0, 1))]
+    elif kind == "leibniz":
+        D = {(j,): {m: c for m, c in enumerate(derivation.column(j)) if c}
+             for j in range(n) if any(derivation.column(j))}
+        laws = [("d(xy) == d(x)y + x d(y)", _ref_tensor(F, _ref_apply(P, D)),
+                 _ref_tensor(F, _ref_substitute(P, 0, D), _ref_substitute(P, 1, D)))]
+    else:
+        assoc = _ref_tensor(F, _ref_apply(P, P), minus=_ref_substitute(P, 1, P))
+        if kind == "associative":
+            laws = [("(xy)z == x(yz)", assoc, {})]
+        elif kind == "novikov":
+            right = _ref_tensor(F, _ref_apply(P, P))
+            laws = [("(x,y,z) == (y,x,z)", assoc, _ref_swapped(assoc, 0, 1)),
+                    ("(xy)z == (xz)y", right, _ref_swapped(right, 1, 2))]
+        else:
+            assert kind == "eq1", kind
+            times = _ref_tensor(F, _ref_apply(assoc, P))
+            laws = [("(x,y,z)t == (xt,y,z)", times,
+                     _ref_tensor(F, _ref_substitute(assoc, 0, P))),
+                    ("(x,y,z)t == (x,yt,z)", times,
+                     _ref_tensor(F, _ref_substitute(assoc, 1, P)))]
+    firsts = []
+    for _, lhs, rhs in laws:
+        differ = [t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t)]
+        firsts.append(min(differ) if differ else None)
+    found = [t for t in firsts if t is not None]
+    if not found:
+        return IdentityReport(kind, True)
+    t = min(found)
+    law, lhs, rhs = laws[firsts.index(t)]
+    lhs, rhs = (tuple(side.get(t, {}).get(k, F.zero) for k in range(n)) for side in (lhs, rhs))
+    return IdentityReport(kind, False, IdentityFailure(law, t, lhs, rhs))
+
+
+def _ref_tensor(F, *parts, minus=()):
+    acc = {}
+    for sign, contributions in [(F.one, part) for part in parts] + [(F.neg(F.one), minus)]:
+        for key, a, ts in contributions:
+            out = acc.setdefault(key, {})
+            for k, c in ts:
+                out[k] = F.add(out.get(k, F.zero), F.mul(F.mul(sign, a), c))
+    return {key: v for key, out in acc.items() if (v := {k: c for k, c in out.items() if c})}
+
+
+def _ref_by_slot(T, slot):
+    groups = {}
+    for key, v in T.items():
+        groups.setdefault(key[slot], []).append((key, v.items()))
+    return groups
+
+
+def _ref_apply(T, S):
+    groups = _ref_by_slot(S, 0)
+    for key, v in T.items():
+        for m, c in v.items():
+            for skey, ts in groups.get(m, ()):
+                yield key + skey[1:], c, ts
+
+
+def _ref_substitute(T, slot, S):
+    groups = _ref_by_slot(T, slot)
+    for skey, v in S.items():
+        for m, c in v.items():
+            for key, ts in groups.get(m, ()):
+                yield key[:slot] + skey[:1] + key[slot + 1:] + skey[1:], c, ts
+
+
+def _ref_swapped(T, a, b):
+    return {k[:a] + k[b:b + 1] + k[a + 1:b] + k[a:a + 1] + k[b + 1:]: v for k, v in T.items()}

@@ -7,10 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from novikov import __version__
+from novikov import __version__, errors
 from novikov.cli import main, run_report
 from novikov.dsl import parse_algebra_source, serialize_algebra_doc
 
@@ -420,6 +420,53 @@ def test_fuzzed_documents_give_a_coded_report(tmp_path_factory, text, command):
     assert code in {0, 1, 2, 3}, err.getvalue()
     if out.getvalue():
         json.loads(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# fuzzing option values through the CLI
+# ---------------------------------------------------------------------------
+
+OPTION_TOKENS = ("t", "t2", "t3", "t4", "e1", "+", "-", "*", "/", "0", "1", "2", "1/2",
+                 "-1", "0/1", "1/0", "(", ")", "=", "#", " ", "7" * 40)
+combinations = st.lists(
+    st.tuples(st.sampled_from([" + ", " - "]), st.sampled_from(["", "", "2*", "0*", "1/2*"]),
+              st.sampled_from(["t", "t2", "t3"])),
+    min_size=1, max_size=3).map(lambda ts: "".join(map("".join, ts))[3:])
+option_texts = st.one_of(
+    combinations, combinations,
+    st.lists(st.sampled_from(OPTION_TOKENS), max_size=6).map("".join),
+    st.text(alphabet="t23e+-*/() 0x.#\t", max_size=10))
+ERROR_CODES = {"PARSE_ERROR"} | {
+    cls.code for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.WorkbenchError)}
+exponents = st.one_of(st.integers(-3, 12).map(str), st.integers(-3, 12).map(str),
+                      st.integers(2, 10 ** 12).map(str), option_texts)
+
+
+@settings(max_examples=150, deadline=None)
+@example("theorem1", "--", ["--"], "--")  # argparse reads a value "--" as []
+@example(None, "--", [], "2")
+@given(st.sampled_from(["lemma1", "lemma3", "theorem1", None]), option_texts,
+       st.lists(option_texts, max_size=2), exponents)
+def test_fuzzed_option_values_give_a_coded_report(claim, element, ideal, n):
+    """``--element``, ``--ideal`` and ``--n`` text through ``certify`` (or,
+    for no claim, ``quasi-inverse --lift``) on the tpoly4 fixture."""
+    if claim is None:
+        argv = ["quasi-inverse", fixture_path("tpoly4"), f"--element={element}",
+                "--side", "left", "--lift"]
+    else:
+        argv = ["certify", fixture_path("tpoly4"), "--claim", claim,
+                f"--element={element}", f"--n={n}"] + [f"--ideal={g}" for g in ideal]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--json"])
+    assert code in {0, 1, 2}, out.getvalue()
+    assert err.getvalue() == ""
+    payload = json.loads(out.getvalue())
+    assert ("error" in payload) == (code != 0)
+    if code:
+        assert payload["error"]["code"] in ERROR_CODES, payload
+
 
 @pytest.mark.parametrize("argv", [
     ["series", fixture_path("ex1k3"), "--kind", "full"],

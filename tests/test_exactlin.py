@@ -116,6 +116,16 @@ def test_span_ambient_mismatch():
         Subspace.span(QQ, [(1, 0, 0)], 2)
 
 
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=lambda F: F.spec_string())
+def test_span_validates_vectors_after_it_is_full(F):
+    full = [(1, 0), (0, 1)]
+    assert Subspace.span(F, full + [(1, 1), (2, 0)], 2) == Subspace.full(F, 2)
+    with pytest.raises(DimensionMismatchError):
+        Subspace.span(F, full + [(1, 0, 0)], 2)
+    with pytest.raises(FieldMismatchError):
+        Subspace.span(F, full + [(0.5, 0)], 2)
+
+
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 

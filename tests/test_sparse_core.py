@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (a2, field_algebra, left_basis_mul, ref_gauss_jordan, ref_kernel,
-                    ref_solve, ref_span, right_basis_mul)
+                    ref_solve, ref_span, reference_identity, right_basis_mul)
 from novikov import GF, QQ, AlgebraTable, Matrix, Subspace
 from novikov import ideals, radicals
 from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
@@ -355,6 +355,42 @@ def test_every_law_is_broken_and_reported(F, kind):
                     assert report_tuple(rep) == dense_first_failure(P, kind, d)
                     broken += not rep.ok
     assert broken > 0
+
+
+KINDS = ("novikov", "eq1", "associative", "commutative", "leibniz")
+
+
+@st.composite
+def identity_cases(draw):
+    """``(kind, algebra, map)``: a random table and map, or a base case
+    whose constants and map are scaled by nonzero scalars (which keeps
+    every law, since each is homogeneous) and, in half the draws, one
+    constant perturbed.  Over QQ the scalars carry denominators."""
+    kind = draw(st.sampled_from(KINDS))
+    if draw(st.booleans()):
+        A = draw(tables())
+        F, n = A.field, A.dim
+        d = Matrix(F, [[draw(scalars(F)) for _ in range(n)] for _ in range(n)], ncols=n)
+        return kind, A, d if kind == "leibniz" else None
+    F = draw(st.sampled_from(FIELDS))
+    _, A, d = draw(st.sampled_from([c for c in base_cases(F) if c[0] == kind]))
+    lam, mu = (draw(scalars(F).filter(bool)) for _ in range(2))
+    cube = [[[lam * c for c in v] for v in plane] for plane in A.cube]
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, A.dim - 1)) for _ in range(3))
+        cube[i][j][k] += draw(scalars(F).filter(bool))
+    return kind, AlgebraTable(F, cube, A.basis_names), None if d is None else d.scale(mu)
+
+
+@settings(max_examples=120, deadline=None)
+@given(identity_cases())
+def test_integer_laws_match_the_field_scalar_reference(case):
+    kind, A, d = case
+    rep = verify_identity(A, kind, derivation=d)
+    assert rep == reference_identity(A, kind, d)
+    if not rep.ok:
+        assert canonical_types(A.field, rep.failure.lhs)
+        assert canonical_types(A.field, rep.failure.rhs)
 
 
 def sparse_bases(F):

@@ -2,23 +2,26 @@
 
 Every construction route gives the same table, with the same hash, for the
 same constants: a dense cube, ``from_products`` with or without explicit
-zero vectors, and raw entries that cancel mod p.  The builders that read
-the nonzero products (``adjoin_unit``, ``direct_sum``, ``gd_construct``,
-``quotient`` and ``doc_from_algebra``) are compared with dense loops over
-the cube written here.
+zero vectors, raw entries that cancel mod p, and ``gd_construct``'s integer
+route, whose numerators may share a factor with their denominator.  The
+integer index is the constants over the least common denominator.  The
+builders that read the nonzero products (``adjoin_unit``, ``direct_sum``,
+``gd_construct``, ``quotient`` and ``doc_from_algebra``) are compared with
+dense loops over the cube written here.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_sparse_core import FIELDS, subspaces, tables
-from novikov import GF, QQ, AlgebraTable
+from novikov import GF, QQ, AlgebraTable, Matrix
 from novikov.constructions import (adjoin_unit, direct_sum, gd_construct,
-                                   random_commutative_pair)
+                                   random_commutative_pair, zero_algebra)
 from novikov.dsl import doc_from_algebra, parse_algebra_source, serialize_algebra_doc
 from novikov.ideals import ideal_closure, quotient
 
@@ -82,6 +85,59 @@ def test_the_dense_cube_round_trips(data):
         (i, j) for i in range(A.dim) for j in range(A.dim) if any(cube[i][j]))
     for i, j, terms in listed:
         assert terms == tuple((k, c) for k, c in enumerate(cube[i][j]) if c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_the_integer_index_is_canonical(data):
+    A = data.draw(tables())
+    den = lcm(*[c.denominator for _, _, terms in A.nonzero_products() for _, c in terms])
+    assert A._den == den
+    assert A._int_index == tuple(tuple(tuple((k, int(c * den)) for k, c in terms)
+                                       for terms in row) for row in A.index)
+
+
+def cancelling_pair(F, lam, mu):
+    """B = F[t]/(t^3) in the basis 1 + t, t, t^2 with its product times lam,
+    and the derivation d(t) = mu (t + c t^2) for c = -1 (p - 1 over GF(p)).
+    In gd(B, d) the t^2 terms of (1 + t) . t = (1 + t)(t + c t^2) sum to
+    (1 + c) lam mu, which is 0 but not from a zero term."""
+    c = F.coerce(-1)
+    B = AlgebraTable.from_products(F, 3, {
+        (0, 0): (lam, lam, lam), (0, 1): (0, lam, lam), (1, 0): (0, lam, lam),
+        (0, 2): (0, 0, lam), (2, 0): (0, 0, lam), (1, 1): (0, 0, lam)})
+    d = Matrix.from_columns(F, [(0, mu, mu * c), (0, mu, mu * c), (0, 0, 2 * mu)], nrows=3)
+    return B, d
+
+
+@pytest.mark.parametrize("F,lam,mu,den", [
+    (QQ, Fraction(1, 2), Fraction(4, 3), 3),  # numerators 4 and 8 over 6 share 2
+    (QQ, Fraction(3), Fraction(5, 3), 1),  # 15 over 3
+    (GF(2), 1, 1, 1), (GF(3), 2, 1, 1), (GF(5), 3, 4, 1)], ids=str)
+def test_gd_and_the_scalar_routes_give_one_canonical_table(F, lam, mu, den):
+    B, d = cancelling_pair(F, lam, mu)
+    A = gd_construct(B, d)
+    cube = dense_gd(B, d).cube
+    assert not any(cube[0][1][2:])  # the t^2 terms cancelled
+    routes = [AlgebraTable(F, cube, B.basis_names),
+              AlgebraTable.from_products(F, 3, {(i, j): cube[i][j] for i in range(3)
+                                                for j in range(3)}, B.basis_names)]
+    for other in routes:
+        assert same_table(A, other)
+        assert A.index == other.index and A.cube == other.cube
+    assert A._den == den
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_the_zero_table_has_denominator_one(F):
+    half = F.inv(F.of_int(2))
+    A = gd_construct(zero_algebra(2, field=F), Matrix(F, [[half, 1], [1, half]]))
+    for other in (AlgebraTable(F, [[(F.zero,) * 2] * 2] * 2, A.basis_names),
+                  AlgebraTable.from_products(F, 2, {}, A.basis_names)):
+        assert same_table(A, other)
+        assert A.index == other.index and A.cube == other.cube
+    assert A._den == 1 and A._int_index == (((), ()), ((), ()))
+    assert AlgebraTable(QQ, [[[Fraction(1, 3) - Fraction(1, 3)]]])._den == 1
 
 
 def test_a_table_is_immutable():
