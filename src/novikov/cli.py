@@ -3,11 +3,14 @@ deterministic report.
 
 Reports are JSON with sorted keys and exact coefficient strings, so equal
 inputs produce byte-identical output.  Exit codes: 0 success, 1 analysis
-precondition failure, 2 parse error, 3 internal error (a broken invariant,
-reported as ``INTERNAL_ERROR`` rather than a traceback); a reader that
-closes the output pipe early ends the report without one.  The oracle point
-budget can be overridden with the ``NOVIKOV_ORACLE_BUDGET`` environment
-variable.
+precondition failure or an option value out of range (``INVALID_OPTION``:
+a thread count below one, a ``NOVIKOV_ORACLE_BUDGET`` that is not an
+integer), 2 parse error or an unreadable input file (``READ_ERROR``), 3
+internal error (a broken invariant, reported as ``INTERNAL_ERROR`` rather
+than a traceback); a reader that closes the output pipe early ends the
+report without one.  Under ``--json`` each of these errors is a coded
+report on stdout.  The oracle point budget can be overridden with the
+``NOVIKOV_ORACLE_BUDGET`` environment variable.
 """
 
 from __future__ import annotations
@@ -355,16 +358,24 @@ def _int_option(name, text):
         raise ParseError(f"--{name} needs an integer, not {text[:12]!r}", 1, 1) from None
 
 
-def _parse_error(args, exc):
-    """Report a parse error, as JSON when asked for; exit code 2."""
+def _early_error(args, exit_code, code, message, text=None, **fields):
+    """Report an error found before any analysis runs and return its exit
+    code: under ``--json`` the record ``{"version", "error": {"code",
+    "message", **fields}}`` on stdout, otherwise ``text`` (by default the
+    message) on stderr."""
     if args.json:
         payload = {"version": __version__,
-                   "error": {"code": "PARSE_ERROR", "message": exc.message,
-                             "line": exc.line, "col": exc.col}}
+                   "error": {"code": code, "message": message, **fields}}
         _to_stdout(sys.stdout.write, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        print(f"parse error: {exc}", file=sys.stderr)
-    return 2
+        print(message if text is None else text, file=sys.stderr)
+    return exit_code
+
+
+def _parse_error(args, exc):
+    """Report a parse error; exit code 2."""
+    return _early_error(args, 2, "PARSE_ERROR", exc.message, f"parse error: {exc}",
+                        line=exc.line, col=exc.col)
 
 
 def _double_dash(value):
@@ -389,14 +400,12 @@ def main(argv=None):
     except ParseError as exc:
         return _parse_error(args, exc)
     if args.threads < 1:
-        print("thread count must be positive", file=sys.stderr)
-        return 1
+        return _early_error(args, 1, "INVALID_OPTION", "thread count must be positive")
     try:
         with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
+        return _early_error(args, 2, "READ_ERROR", f"cannot read {args.path}: {exc}")
     try:
         doc = parse_algebra_source(text)
     except ParseError as exc:
@@ -410,8 +419,7 @@ def main(argv=None):
             try:
                 options["budget"] = int(env)
             except ValueError:
-                print(f"{ENV_BUDGET} must be an integer", file=sys.stderr)
-                return 1
+                return _early_error(args, 1, "INVALID_OPTION", f"{ENV_BUDGET} must be an integer")
     text_out, code = run_report(doc, args.command, options)
     if args.json:
         _to_stdout(sys.stdout.write, text_out)

@@ -14,7 +14,7 @@ from math import lcm
 from .core import AlgebraTable, verify_identity
 from .errors import (DimensionMismatchError, FieldMismatchError,
                      NotADerivationError, NotCommutativeAssociativeError)
-from .exactlin import QQ, Matrix, int_matrix, vec_add, vec_scale, vec_zeros
+from .exactlin import QQ, Matrix, vec_add, vec_scale, vec_zeros
 
 
 def gd_construct(B, d, check=True):
@@ -33,10 +33,9 @@ def gd_construct(B, d, check=True):
             f"map fails the product rule on basis pair {leib.failure.indices}")
     # e_i . e_j = e_i d(e_j) = sum_m d_mj e_i e_m, over B's nonzero
     # products e_i e_m and the nonzero entries d_mj of row m of d, in
-    # integers: B's constants times D and d's entries times e, so that the
-    # sums are D e times the constants of the result
-    rows, e = int_matrix(d)
-    drows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    # integers: B's constants times D and d's entries times e = d.den, so
+    # that the sums are D e times the constants of the result
+    drows = [[(j, a) for j, a in enumerate(row) if a] for row in d.int_rows]
     products = {}
     for i, m, terms in B._int_products():
         for j, a in drows[m]:
@@ -45,7 +44,7 @@ def gd_construct(B, d, check=True):
                 out[k] = out.get(k, 0) + a * c
     A = AlgebraTable._from_int_terms(B.field, B.dim, {ij: out.items()
                                                       for ij, out in products.items()},
-                                     B._den * e, B.basis_names)
+                                     B._den * d.den, B.basis_names)
     if check:
         rep = verify_identity(A, "novikov")
         if not rep.ok:  # unreachable when the preconditions hold
@@ -70,8 +69,8 @@ def truncated_poly(n, unital=False, field=QQ):
         for j, b in enumerate(exps):
             s = a + b
             if s < n:
-                products[(i, j)] = ((exps.index(s), field.one),)
-    return AlgebraTable._from_terms(field, dim, products, names)
+                products[(i, j)] = ((exps.index(s), 1),)
+    return AlgebraTable._from_int_terms(field, dim, products, 1, names)
 
 
 def example1_algebra(k, field=QQ):
@@ -97,8 +96,8 @@ def example1_algebra(k, field=QQ):
             b = j + 1
             if a & b:
                 continue  # repeated variable squares to zero
-            products[(i, j)] = (((a | b) - 1, field.one),)
-    B = AlgebraTable._from_terms(field, dim, products, names)
+            products[(i, j)] = (((a | b) - 1, 1),)
+    B = AlgebraTable._from_int_terms(field, dim, products, 1, names)
     weights = [field.of_int(bin(i + 1).count("1")) for i in range(dim)]
     return B, Matrix.diagonal(field, weights)
 
@@ -161,9 +160,9 @@ def zero_algebra(dim, field=QQ):
 def split_idempotents(m, field=QQ):
     """Direct product of m copies of the base field (pairwise orthogonal
     idempotents); its only derivation is zero."""
-    products = {(i, i): ((i, field.one),) for i in range(m)}
-    return AlgebraTable._from_terms(field, m, products,
-                                    tuple(f"p{i + 1}" for i in range(m)))
+    products = {(i, i): ((i, 1),) for i in range(m)}
+    return AlgebraTable._from_int_terms(field, m, products, 1,
+                                        tuple(f"p{i + 1}" for i in range(m)))
 
 
 def block_diag(field, mats):

@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .exactlin import (Subspace, coerce_vector, from_int_vector, int_matrix,
-                       int_vector, vec_sub, vec_zeros)
+from .exactlin import (Subspace, coerce_vector, from_int_vector, int_vector, vec_sub,
+                       vec_zeros)
 
 
 class AlgebraTable:
@@ -89,16 +89,8 @@ class AlgebraTable:
     def from_products(cls, field, dim, products, basis_names=None):
         """Build a table from a ``{(i, j): coordinate vector}`` mapping;
         absent pairs multiply to zero."""
-        return cls._from_terms(field, dim, {ij: _dense_terms(v, dim)
-                                            for ij, v in products.items()},
-                               basis_names)
-
-    @classmethod
-    def _from_terms(cls, field, dim, products, basis_names=None):
-        """Build a table from ``{(i, j): terms}`` over the nonzero
-        products, each an iterable of ``(k, c)`` with distinct k and raw
-        scalars, which are coerced to the field here."""
-        return cls._from_int_terms(field, dim, *_int_terms(field, products), basis_names)
+        return cls._from_int_terms(field, dim, *_int_terms(field, {
+            ij: _dense_terms(v, dim) for ij, v in products.items()}), basis_names)
 
     @classmethod
     def _from_int_terms(cls, field, dim, products, den, basis_names=None):
@@ -188,20 +180,13 @@ class AlgebraTable:
         yi, dy = int_vector(F, y)
         return from_int_vector(F, self.int_multiply(terms(xi), terms(yi)), dx * dy * self._den)
 
-    # Integer vectors (see ``exactlin.int_vector``): each product below is
-    # D times the product of its integer arguments, accumulated in plain
-    # ints; over GF(p), where D = 1, it is reduced to residues once per
-    # coordinate.
-
-    @property
-    def int_scale(self):
-        """D, the scale of the integer products below."""
-        return self._den
-
     def int_multiply(self, xs, ys):
-        """D times ``x y`` for integer vectors x and y given by their
-        nonzero terms ``xs = terms(x)`` and ``ys = terms(y)``, which a
-        caller multiplying one vector many times computes once."""
+        """D times ``x y``, D = ``_den``, for integer vectors x and y (see
+        ``exactlin.int_vector``) given by their nonzero terms
+        ``xs = terms(x)`` and ``ys = terms(y)``, which a caller multiplying
+        one vector many times computes once; a basis vector e_i is
+        ``((i, 1),)``.  The sums are plain ints; over GF(p), where D = 1,
+        they are reduced to residues once per coordinate."""
         index = self._int_index
         out = [0] * self.dim
         for i, a in xs:
@@ -212,28 +197,6 @@ class AlgebraTable:
                     s = a * b
                     for k, c in prod:
                         out[k] += s * c
-        p = self.field.p
-        return out if p is None else [c % p for c in out]
-
-    def int_left_mul(self, i, v):
-        """D times ``e_i v`` for an integer vector v."""
-        row = self._int_index[i]
-        out = [0] * self.dim
-        for m, a in enumerate(v):
-            if a:
-                for k, c in row[m]:
-                    out[k] += a * c
-        p = self.field.p
-        return out if p is None else [c % p for c in out]
-
-    def int_right_mul(self, v, k):
-        """D times ``v e_k`` for an integer vector v."""
-        index = self._int_index
-        out = [0] * self.dim
-        for m, a in enumerate(v):
-            if a:
-                for t, c in index[m][k]:
-                    out[t] += a * c
         p = self.field.p
         return out if p is None else [c % p for c in out]
 
@@ -383,8 +346,8 @@ def _laws(A, kind, derivation):
         if derivation is None:
             raise ValueError("leibniz check needs a linear map")
         _check_same_algebra(A, derivation)
-        rows, e = int_matrix(derivation)
-        M = {(j,): dict(col) for j, c in enumerate(zip(*rows))
+        e = derivation.den
+        M = {(j,): dict(col) for j, c in enumerate(zip(*derivation.int_rows))
              if (col := terms(c))}  # (j,) -> e d(e_j)
         return [("d(xy) == d(x)y + x d(y)", _tensor(F, _apply(P, M)),
                  _tensor(F, _substitute(P, 0, M), _substitute(P, 1, M)))], D * e

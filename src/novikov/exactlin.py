@@ -226,12 +226,17 @@ def coerce_vector(field, v, length=None):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense rectangular matrix over one field; rows are tuples of scalars."""
+    """Dense rectangular matrix over one field; rows are tuples of scalars.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    ``int_rows / den`` is the same matrix in integers over the least common
+    denominator (1 over GF(p), where the int rows are the rows).  The form
+    is canonical, so equality and the hash, computed once, read it alone.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "int_rows", "den", "_hash")
 
     def __init__(self, field, rows, ncols=None):
-        rows = [coerce_vector(field, r) for r in rows]
+        rows = tuple(coerce_vector(field, r) for r in rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -241,10 +246,18 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
+        if field.p is None:
+            flat, den = int_vector(field, [a for r in rows for a in r])
+            int_rows = tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(len(rows)))
+        else:
+            int_rows, den = rows, 1
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "int_rows", int_rows)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -323,10 +336,15 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
-                and other.ncols == self.ncols and other.rows == self.rows)
+                and other.ncols == self.ncols and other.den == self.den
+                and other.int_rows == self.int_rows)
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.ncols, self.den, self.int_rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(a) for a in r) for r in self.rows)
@@ -357,15 +375,6 @@ def int_vector(field, v):
     if den == 1:
         return [n for n, _ in ratios], 1
     return [n * (den // d) for n, d in ratios], den
-
-
-def int_matrix(M):
-    """``(rows, den)`` with ``M.rows == rows / den``: the integer rows of a
-    matrix over one common denominator, the least over QQ and 1 over
-    GF(p)."""
-    n = M.ncols
-    flat, den = int_vector(M.field, [a for r in M.rows for a in r])
-    return [flat[i * n:(i + 1) * n] for i in range(M.nrows)], den
 
 
 def from_int_vector(field, ints, den=1):
@@ -615,10 +624,6 @@ class Subspace:
 # solving and kernels
 # ---------------------------------------------------------------------------
 
-def _int_rows(M):
-    return [int_vector(M.field, r)[0] for r in M.rows]
-
-
 def solve(M, b):
     """Some ``y`` with ``M @ y = b`` or None if the system is inconsistent.
 
@@ -628,8 +633,9 @@ def solve(M, b):
     if len(b) != M.nrows:
         raise DimensionMismatchError(f"matrix has {M.nrows} rows, rhs length {len(b)}")
     F = M.field
-    b = coerce_vector(F, b)
-    y = int_solve(F, [int_vector(F, r + (b[i],))[0] for i, r in enumerate(M.rows)],
+    b, db = int_vector(F, coerce_vector(F, b))
+    # M y = b is (db M.int_rows) y = M.den b, the same system in integers
+    y = int_solve(F, [[db * a for a in r] + [M.den * c] for r, c in zip(M.int_rows, b)],
                   M.ncols)
     return None if y is None else from_int_vector(F, *y)
 
@@ -653,7 +659,7 @@ def kernel(M):
     """Null space ``{v : M v = 0}`` as a canonical subspace: one integer
     vector per free column of the echelon rows, echeloned in turn."""
     F, n = M.field, M.ncols
-    work, pivots = _echelon(F, _int_rows(M))
+    work, pivots = _echelon(F, M.int_rows)
     den = lcm(*[row[q] for row, q in zip(work, pivots)])
     pivot_set = set(pivots)
     basis = []
@@ -670,4 +676,4 @@ def kernel(M):
 
 
 def rank(M):
-    return len(_echelon(M.field, _int_rows(M))[0])
+    return len(_echelon(M.field, M.int_rows)[0])

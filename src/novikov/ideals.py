@@ -60,9 +60,11 @@ def is_ideal(A, U):
     if U.is_full():
         return True
     for u in U.int_rows:
+        us = terms(u)
         for i in range(A.dim):
-            if not (U.contains_int(A.int_left_mul(i, u))
-                    and U.contains_int(A.int_right_mul(u, i))):
+            e = ((i, 1),)
+            if not (U.contains_int(A.int_multiply(e, us))
+                    and U.contains_int(A.int_multiply(us, e))):
                 return False
     return True
 
@@ -94,9 +96,11 @@ def ideal_closure(A, S):
     _check_subspace(A, S)
 
     def products(u):
+        us = terms(u)
         for i in range(A.dim):
-            yield A.int_left_mul(i, u)
-            yield A.int_right_mul(u, i)
+            e = ((i, 1),)
+            yield A.int_multiply(e, us)
+            yield A.int_multiply(us, e)
 
     return _grow(A, [list(r) for r in S.int_rows], list(S.pivots), list(S.int_rows),
                  products)

@@ -158,10 +158,11 @@ def enumerate_ideals(A, budget=None):
     def image(r):
         mask = images.get(r)
         if mask is None:
-            mask = 0
+            mask, rs = 0, terms(r)
             for i in range(A.dim):
-                mask |= ((1 << _point_code(p, A.int_left_mul(i, r)))
-                         | (1 << _point_code(p, A.int_right_mul(r, i))))
+                e = ((i, 1),)
+                mask |= ((1 << _point_code(p, A.int_multiply(e, rs)))
+                         | (1 << _point_code(p, A.int_multiply(rs, e))))
             images[r] = mask
         return mask
 
@@ -276,8 +277,10 @@ def _quotient_is(A, I, held, kind):
                    for x in reps):
             return False
     e = [[A.basis_product(i, j) for j in range(n)] for i in range(n)]
+    ts = [[terms(v) for v in row] for row in e]
     return (all(inside(map(sub, e[i][j], e[j][i])) for i in range(n) for j in range(i))
-            and all(inside(map(sub, A.int_right_mul(e[i][j], k), A.int_left_mul(i, e[j][k])))
+            and all(inside(map(sub, A.int_multiply(ts[i][j], ((k, 1),)),
+                               A.int_multiply(((i, 1),), ts[j][k])))
                     for i, j, k in product(range(n), repeat=3)))
 
 

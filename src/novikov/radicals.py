@@ -21,7 +21,7 @@ from .errors import (BudgetExceededError, CharTwoError, NotAnIdealError,
                      NotCommutativeAssociativeError, NotLieSolvableError,
                      PreconditionError, WorkbenchError)
 from .exactlin import (Matrix, Subspace, from_int_vector, int_solve, int_vector,
-                       kernel, vec_add, vec_is_zero)
+                       kernel, vec_add)
 from .ideals import chain, commutator_ideal, is_ideal, subspace_product
 
 CLAIM_TAGS = ("lemma1", "lemma3", "theorem1", "lifting", "quasireg", "tower")
@@ -202,22 +202,24 @@ def _quasiregular_mod(A, x, side, K):
     """Some y on K's non-pivot coordinates with x + y - yx (left) or
     x + y - xy (right) in the ideal K, or None.
 
-    With x = X / d for an integer vector X and s = D d (see
-    ``AlgebraTable.int_scale``), this is one integer solve: the unknowns
-    are the coefficients of K's rows, then y; the columns are K's rows,
-    then s (e_j x) - s e_j or s (x e_j) - s e_j for each non-pivot j; the
-    right-hand side is D X.  With K's columns first, a coordinate of y is
-    free exactly when it is free modulo K, and free ones are zero.  The
-    witness is re-verified on integer products.
+    With x = X / d for an integer vector X and s = D d (D is ``A._den``,
+    the scale of ``AlgebraTable.int_multiply``), this is one integer solve:
+    the unknowns are the coefficients of K's rows, then y; the columns are
+    K's rows, then s (e_j x) - s e_j or s (x e_j) - s e_j for each
+    non-pivot j; the right-hand side is D X.  With K's columns first, a
+    coordinate of y is free exactly when it is free modulo K, and free
+    ones are zero.  The witness is re-verified on integer products.
     """
-    F, n, D = A.field, A.dim, A.int_scale
+    F, n, D = A.field, A.dim, A._den
     xe = int_vector(F, x)
     xi, dx = xe
+    xs = terms(xi)
     pivots = set(K.pivots)
     free = [j for j in range(n) if j not in pivots]
     cols = list(K.int_rows)
     for j in free:
-        cols.append(A.int_left_mul(j, xi) if side == "left" else A.int_right_mul(xi, j))
+        e = ((j, 1),)
+        cols.append(A.int_multiply(e, xs) if side == "left" else A.int_multiply(xs, e))
         cols[-1][j] -= D * dx
     rows = [[col[i] for col in cols] + [D * xi[i]] for i in range(n)]
     if F.p is not None:
@@ -240,7 +242,7 @@ def _quasiregular_mod(A, x, side, K):
 
 def _product(A, u, v):
     """The pair of u v, den not reduced."""
-    return A.int_multiply(terms(u[0]), terms(v[0])), A.int_scale * u[1] * v[1]
+    return A.int_multiply(terms(u[0]), terms(v[0])), A._den * u[1] * v[1]
 
 
 def _combine(field, *parts):
@@ -321,12 +323,13 @@ def quasi_inverse_lift(A, x):
 # ---------------------------------------------------------------------------
 
 def _power_reader(A, x):
-    """``power(s)``: x^s for non-decreasing s, read off one walk of the
-    left-normed powers of x.  The walk ends at the first zero power, so
-    past it every exponent costs nothing.  Once it has passed x^(dim+1)
+    """``power(s)``: x^s as an integer vector (a positive multiple of it,
+    which zero tests and spans do not see), for non-decreasing s, read off
+    one walk of ``A._int_powers``.  The walk ends at the first zero power,
+    so past it every exponent costs nothing.  Once it has passed x^(dim+1)
     without a zero power, x is not r-nilpotent, and an exponent above
     ``MAX_POWER_EXPONENT`` raises :class:`BudgetExceededError`."""
-    walk = A.left_normed_powers(x)
+    walk = (p for p, _ in A._int_powers(*int_vector(A.field, x)))
     e, p = 1, next(walk)
 
     def power(s):
@@ -362,7 +365,8 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
                   until I^[k] = 0.
     The claim preconditions are enforced; the concluded membership is
     recorded as data (``holds``) rather than raised.  Every power is read
-    from one power sequence of x.
+    from one integer power sequence of x, and squares and memberships are
+    tested on integers.
     """
     if claim is None:
         claim = "lemma1" if ideal is None else "theorem1"
@@ -374,11 +378,8 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
     power = _power_reader(A, x)
 
     if claim == "lemma1":
-        xn = power(n)
-        sq_n = A.multiply(xn, xn)
-        xn1 = power(n + 1)
-        sq_n1 = A.multiply(xn1, xn1)
-        if not vec_is_zero(sq_n) or not vec_is_zero(sq_n1):
+        ts = [terms(power(n)), terms(power(n + 1))]
+        if any(any(A.int_multiply(t, t)) for t in ts):
             raise PreconditionError(
                 "claim needs (x^n)^2 = 0 and (x^{n+1})^2 = 0 for the given n")
         return Certificate("lemma1", {
@@ -386,14 +387,14 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
             "square_power_n_zero": True,
             "square_power_n1_zero": True,
             "vanishing_exponent": 2 * n + 2,
-            "holds": vec_is_zero(power(2 * n + 2)),
+            "holds": not any(power(2 * n + 2)),
         })
 
     if ideal is None:
         raise PreconditionError(f"claim {claim} needs an ideal")
     if not _cached_is_ideal(A, ideal):
         raise NotAnIdealError("membership claims need an ideal")
-    if not ideal.contains(power(n)):
+    if not ideal.contains_int(power(n)):
         raise PreconditionError("claim needs x^n in the ideal for the given n")
 
     if claim == "lemma3":
@@ -401,7 +402,7 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
         return Certificate("lemma3", {
             "element": tuple(x), "n": n, "ideal": ideal,
             "membership_exponent": 2 * n + 2,
-            "holds": i2.contains(power(2 * n + 2)),
+            "holds": i2.contains_int(power(2 * n + 2)),
         })
 
     ichain = chain(A, "right", base=ideal)
@@ -413,7 +414,7 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
         if k > 1:
             s = 2 * s + 2
             s_sequence.append(s)
-        member = term.contains(power(s))
+        member = term.contains_int(power(s))
         memberships.append({"k": k, "s_k": s, "ideal_power_dim": term.dim,
                             "holds": member})
         holds = holds and member

@@ -32,7 +32,7 @@ from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
                                    random_commutative_pair, split_idempotents,
                                    truncated_poly, truncated_poly_derivation,
                                    weighted_euler_derivation, zero_algebra)
-from novikov.core import IdentityFailure, IdentityReport, verify_identity
+from novikov.core import IdentityFailure, IdentityReport, terms, verify_identity
 from novikov.exactlin import from_int_vector, int_vector, solve
 from novikov.ideals import classify, commutator_ideal, ideal_closure, quotient
 from novikov.radicals import nilradical_commutative, quasiregular_solve
@@ -197,15 +197,17 @@ def random_element(A, rng, spread=2):
 
 
 def left_basis_mul(A, i, v):
-    """``e_i v`` through the integer product ``int_left_mul``."""
+    """``e_i v`` through the integer product ``int_multiply``, with e_i
+    given as the basis term ``((i, 1),)``."""
     vi, dv = int_vector(A.field, v)
-    return from_int_vector(A.field, A.int_left_mul(i, vi), dv * A.int_scale)
+    return from_int_vector(A.field, A.int_multiply(((i, 1),), terms(vi)), dv * A._den)
 
 
 def right_basis_mul(A, v, k):
-    """``v e_k`` through the integer product ``int_right_mul``."""
+    """``v e_k`` through the integer product ``int_multiply``, with e_k
+    given as the basis term ``((k, 1),)``."""
     vi, dv = int_vector(A.field, v)
-    return from_int_vector(A.field, A.int_right_mul(vi, k), dv * A.int_scale)
+    return from_int_vector(A.field, A.int_multiply(terms(vi), ((k, 1),)), dv * A._den)
 
 
 def operator_matrix(A, x, side="right"):

@@ -187,6 +187,36 @@ def test_map_failing_product_rule_is_a_result(tmp_path, capsys):
 def test_nonpositive_thread_count_rejected(capsys):
     code = main(["check", fixture_path("a2"), "--threads", "0"])
     assert code == 1
+    assert capsys.readouterr() == ("", "thread count must be positive\n")
+    code = main(["check", fixture_path("a2"), "--threads", "0", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"version": __version__, "error": {
+        "code": "INVALID_OPTION", "message": "thread count must be positive"}}
+
+
+@pytest.mark.parametrize("case", ["unreadable", "budget"])
+def test_early_exits_give_a_coded_json_report(case, tmp_path, capsys, monkeypatch):
+    if case == "unreadable":
+        path = str(tmp_path / "missing.alg")
+        code_name, exit_code = "READ_ERROR", 2
+        argv = ["check", path]
+        text = f"cannot read {path}: "
+    else:
+        monkeypatch.setenv("NOVIKOV_ORACLE_BUDGET", "lots")
+        code_name, exit_code = "INVALID_OPTION", 1
+        argv = ["oracle", fixture_path("gf3_a2"), "--task", "tower"]
+        text = "NOVIKOV_ORACLE_BUDGET must be an integer"
+    assert main(argv) == exit_code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(text)
+    assert main(argv + ["--json"]) == exit_code
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert set(payload) == {"version", "error"} and set(payload["error"]) == {"code", "message"}
+    assert payload["error"]["code"] == code_name
+    assert payload["error"]["message"].startswith(text)
 
 
 def test_field_algebra_radical_is_zero(tmp_path, capsys):
@@ -436,7 +466,7 @@ option_texts = st.one_of(
     combinations, combinations,
     st.lists(st.sampled_from(OPTION_TOKENS), max_size=6).map("".join),
     st.text(alphabet="t23e+-*/() 0x.#\t", max_size=10))
-ERROR_CODES = {"PARSE_ERROR"} | {
+ERROR_CODES = {"PARSE_ERROR", "INVALID_OPTION", "READ_ERROR"} | {
     cls.code for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.WorkbenchError)}
 exponents = st.one_of(st.integers(-3, 12).map(str), st.integers(-3, 12).map(str),
@@ -444,13 +474,16 @@ exponents = st.one_of(st.integers(-3, 12).map(str), st.integers(-3, 12).map(str)
 
 
 @settings(max_examples=150, deadline=None)
-@example("theorem1", "--", ["--"], "--")  # argparse reads a value "--" as []
-@example(None, "--", [], "2")
+@example("theorem1", "--", ["--"], "--", "1")  # argparse reads a value "--" as []
+@example(None, "--", [], "2", "--")
+@example("lemma1", "t", [], "2", "0")
 @given(st.sampled_from(["lemma1", "lemma3", "theorem1", None]), option_texts,
-       st.lists(option_texts, max_size=2), exponents)
-def test_fuzzed_option_values_give_a_coded_report(claim, element, ideal, n):
-    """``--element``, ``--ideal`` and ``--n`` text through ``certify`` (or,
-    for no claim, ``quasi-inverse --lift``) on the tpoly4 fixture."""
+       st.lists(option_texts, max_size=2), exponents,
+       st.one_of(st.just("1"), exponents))
+def test_fuzzed_option_values_give_a_coded_report(claim, element, ideal, n, threads):
+    """``--element``, ``--ideal``, ``--n`` and ``--threads`` text through
+    ``certify`` (or, for no claim, ``quasi-inverse --lift``) on the tpoly4
+    fixture."""
     if claim is None:
         argv = ["quasi-inverse", fixture_path("tpoly4"), f"--element={element}",
                 "--side", "left", "--lift"]
@@ -459,7 +492,7 @@ def test_fuzzed_option_values_give_a_coded_report(claim, element, ideal, n):
                 f"--element={element}", f"--n={n}"] + [f"--ideal={g}" for g in ideal]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv + ["--json"])
+        code = main(argv + [f"--threads={threads}", "--json"])
     assert code in {0, 1, 2}, out.getvalue()
     assert err.getvalue() == ""
     payload = json.loads(out.getvalue())

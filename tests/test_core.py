@@ -289,8 +289,8 @@ def test_from_products_and_names():
 def test_terms_in_any_order_give_one_table(F):
     # builders hand their (k, c) terms over in the order they accumulate
     dense = AlgebraTable.from_products(F, 3, {(0, 1): (2, 0, 1), (2, 2): (0, 1, 0)})
-    terms = AlgebraTable._from_terms(F, 3, {(0, 1): {2: 1, 0: 2}.items(),
-                                            (2, 2): [(1, 1), (0, 3 if F.p else 0)]})
+    terms = AlgebraTable._from_int_terms(F, 3, {(0, 1): {2: 1, 0: 2}.items(),
+                                                (2, 2): [(1, 1), (0, 3 if F.p else 0)]}, 1)
     assert terms == dense and hash(terms) == hash(dense)
     assert terms.index == dense.index
 

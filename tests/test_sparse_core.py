@@ -8,14 +8,17 @@ The dense references are written here, except the textbook Gauss-Jordan,
 which ``corpus`` shares with ``test_exactlin``.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import (a2, field_algebra, left_basis_mul, ref_gauss_jordan, ref_kernel,
-                    ref_solve, ref_span, reference_identity, right_basis_mul)
+from corpus import (a2, field_algebra, gf3_population, left_basis_mul, q_corpus,
+                    ref_gauss_jordan, ref_kernel, ref_solve, ref_span, reference_identity,
+                    right_basis_mul)
 from novikov import GF, QQ, AlgebraTable, Matrix, Subspace
 from novikov import ideals, radicals
 from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
@@ -25,7 +28,7 @@ from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
 from novikov.core import IdentityFailure, verify_identity
 from novikov.errors import (BudgetExceededError, DimensionMismatchError,
                             FieldMismatchError, NotLieSolvableError,
-                            WorkbenchError)
+                            PreconditionError, WorkbenchError)
 from novikov.exactlin import kernel, rank, solve
 from novikov.ideals import (ideal_closure, is_ideal, subalgebra_generated,
                             subspace_product)
@@ -594,22 +597,80 @@ def test_check_certificate_rederives_from_a_fresh_walk(monkeypatch):
     x = A.element((1, 1, 0))
     cert = bound_certificates(A, x, 1, ideal=A.full_space(), claim="theorem1")
     calls = {"bound": 0, "walks": 0}
-    bound, walk = radicals.bound_certificates, AlgebraTable.left_normed_powers
+    bound, walk = radicals.bound_certificates, AlgebraTable._int_powers
 
     def counted_bound(*args, **kwargs):
         calls["bound"] += 1
         return bound(*args, **kwargs)
 
-    def counted_walk(self, v):
+    def counted_walk(self, *args):
         calls["walks"] += 1
-        return walk(self, v)
+        return walk(self, *args)
 
     monkeypatch.setattr(radicals, "bound_certificates", counted_bound)
-    monkeypatch.setattr(AlgebraTable, "left_normed_powers", counted_walk)
+    monkeypatch.setattr(AlgebraTable, "_int_powers", counted_walk)
     assert check_certificate(A, cert)
     assert calls == {"bound": 1, "walks": 1}
     tampered = radicals.Certificate("theorem1", dict(cert.data, s_sequence=[1, 4, 11]))
     assert not check_certificate(A, tampered)
+
+
+def test_bound_certificates_take_no_field_scalar_route(monkeypatch):
+    """Bound certificates and their checker read integer powers, integer
+    squares and integer memberships only: with ``multiply``,
+    ``left_normed_powers`` and ``Subspace.contains`` patched to raise, every
+    claim on the QQ and GF(3) corpora gives the data or error it gives
+    unpatched (which ``test_certificates_match_repeated_products`` compares
+    with repeated products)."""
+    cases = []
+    for _, A in q_corpus() + gf3_population():
+        ones = (A.field.one,) * A.dim
+        for x, n, claim in product(A.basis_vectors() + [ones], (1, 2),
+                                   ("lemma1", "lemma3", "theorem1")):
+            ideal = None
+            if claim != "lemma1":
+                ideal = ideal_closure(A, Subspace.span(
+                    A.field, [A.left_normed_power(x, n)], A.dim))
+            try:
+                want = bound_certificates(A, x, n, ideal=ideal, claim=claim).data
+            except PreconditionError:
+                want = "PreconditionError"
+            cases.append((A, x, n, ideal, claim, want))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field-scalar route was taken")
+
+    monkeypatch.setattr(AlgebraTable, "multiply", refuse)
+    monkeypatch.setattr(AlgebraTable, "left_normed_powers", refuse)
+    monkeypatch.setattr(Subspace, "contains", refuse)
+    certified = Counter()
+    for A, x, n, ideal, claim, want in cases:
+        if want == "PreconditionError":
+            with pytest.raises(PreconditionError):
+                bound_certificates(A, x, n, ideal=ideal, claim=claim)
+            continue
+        cert = bound_certificates(A, x, n, ideal=ideal, claim=claim)
+        assert cert.data == want, (A, x, n, claim)
+        assert check_certificate(A, cert)
+        certified[A.field.spec_string(), claim] += 1
+    assert len(certified) == 6 and min(certified.values()) >= 10, certified
+
+
+def test_a_conclusion_that_fails_is_recorded():
+    """``holds`` is computed, not assumed.  Off the Novikov laws the lemmas
+    can fail: with x x = y and y x = y, x^m = y for every m >= 2, and
+    I = span(y) is an ideal with I I = 0, so x^2 is in I but x^6 is in
+    neither I I nor I^[2], and x^6 is not zero."""
+    A = AlgebraTable.from_products(QQ, 2, {(0, 0): (0, 1), (1, 0): (0, 1)})
+    assert not verify_identity(A, "novikov").ok
+    x, I = A.basis_vector(0), Subspace.span(QQ, [(0, 1)], 2)
+    certs = [bound_certificates(A, x, 2, claim="lemma1")] + [
+        bound_certificates(A, x, 2, ideal=I, claim=claim) for claim in ("lemma3", "theorem1")]
+    for cert in certs:
+        assert cert.data == dense_certificate(A, x, 2, I, cert.claim)
+        assert cert.data["holds"] is False
+        assert check_certificate(A, cert)
+    assert [m["holds"] for m in certs[2].data["memberships"]] == [True, False]
 
 
 # ---------------------------------------------------------------------------

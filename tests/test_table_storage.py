@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from test_sparse_core import FIELDS, subspaces, tables
 from novikov import GF, QQ, AlgebraTable, Matrix
-from novikov.constructions import (adjoin_unit, direct_sum, gd_construct,
-                                   random_commutative_pair, zero_algebra)
+from novikov.constructions import (adjoin_unit, direct_sum, example1_algebra,
+                                   gd_construct, random_commutative_pair, zero_algebra)
+from novikov.core import verify_identity
 from novikov.dsl import doc_from_algebra, parse_algebra_source, serialize_algebra_doc
 from novikov.ideals import ideal_closure, quotient
 
@@ -138,6 +139,33 @@ def test_the_zero_table_has_denominator_one(F):
         assert A.index == other.index and A.cube == other.cube
     assert A._den == 1 and A._int_index == (((), ()), ((), ()))
     assert AlgebraTable(QQ, [[[Fraction(1, 3) - Fraction(1, 3)]]])._den == 1
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_a_matrix_keeps_its_integer_rows(F):
+    half, quarter = F.inv(F.of_int(2)), F.inv(F.of_int(4))
+    M = Matrix(F, [[half, F.of_int(3)], [F.zero, quarter]])
+    assert M.den == (4 if F.p is None else 1)
+    assert M.int_rows == tuple(tuple(int(a * M.den) for a in r) for r in M.rows)
+    for other in (Matrix.from_columns(F, [M.column(0), M.column(1)], nrows=2),
+                  M.scale(1), M + Matrix.zeros(F, 2, 2)):
+        assert other == M and hash(other) == hash(M) and other.int_rows == M.int_rows
+    assert M.scale(2) != M and M.scale(2).den == (2 if F.p is None else 1)
+    assert Matrix(F, [], ncols=3) != Matrix(F, [], ncols=2)
+    assert Matrix(F, [[], []]).int_rows == ((), ())
+
+
+def test_the_product_rule_and_gd_construct_hash_no_fraction(monkeypatch):
+    B, d = example1_algebra(3)
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert verify_identity(B, "leibniz", derivation=d).ok
+    gd_construct(B, d, check=False)
+    half = Matrix.diagonal(QQ, [Fraction(1, 2)] * B.dim)  # not a derivation
+    assert verify_identity(B, "leibniz", derivation=half).failure is not None
 
 
 def test_a_table_is_immutable():
