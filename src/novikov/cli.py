@@ -73,8 +73,10 @@ def _certificate(A, cert):
     def render(value):
         if isinstance(value, Subspace):
             return _subspace(value)
-        if isinstance(value, tuple):
+        if type(value) is tuple:
             return _vec(F, value)
+        if isinstance(value, tuple):
+            raise TypeError(f"certificate data holds a {type(value).__name__} record")
         if isinstance(value, list):
             return [render(v) for v in value]
         if isinstance(value, dict):

@@ -14,7 +14,7 @@ from math import lcm
 from .core import AlgebraTable, verify_identity
 from .errors import (DimensionMismatchError, FieldMismatchError,
                      NotADerivationError, NotCommutativeAssociativeError)
-from .exactlin import QQ, Matrix, vec_add, vec_scale, vec_zeros
+from .exactlin import QQ, Matrix, int_vector, vec_add, vec_scale, vec_zeros
 
 
 def gd_construct(B, d, check=True):
@@ -108,10 +108,11 @@ def weighted_euler_derivation(A, weights):
         raise DimensionMismatchError("one weight per basis vector required")
     F = A.field
     weights = [F.coerce(w) for w in weights]
-    for i, j, terms in A.nonzero_products():
-        wij = F.add(weights[i], weights[j])
+    w, _ = int_vector(F, weights)  # residues over GF(p)
+    for i, j, terms in A._int_products():
+        wij = w[i] + w[j] if F.p is None else (w[i] + w[j]) % F.p
         for kk, _ in terms:
-            if weights[kk] != wij:
+            if w[kk] != wij:
                 raise NotADerivationError(
                     f"weights are not compatible with the grading at "
                     f"product ({i}, {j}) component {kk}")

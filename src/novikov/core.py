@@ -12,7 +12,7 @@ Tables are immutable and every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -277,19 +277,8 @@ class AlgebraTable:
 # identity verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityFailure:
-    law: str
-    indices: tuple
-    lhs: tuple
-    rhs: tuple
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    kind: str
-    ok: bool
-    failure: IdentityFailure | None = None
+IdentityFailure = namedtuple("IdentityFailure", "law indices lhs rhs")
+IdentityReport = namedtuple("IdentityReport", "kind ok failure", defaults=(None,))
 
 
 def _check_same_algebra(A, d):
@@ -305,28 +294,34 @@ def verify_identity(A, kind, derivation=None):
 
     Multilinearity makes the basis check complete.  Each law is a pair of
     sparse integer tensors contracted from the nonzero entries of the
-    integer index only (see :func:`_laws`).  A failing report carries the
-    lexicographically least tuple at which any law's sides differ, the
-    first listed law that differs there, and both sides, the only field
-    scalars made: each side divided by the law's scale.  Inputs are
-    immutable, so results are memoized.
+    integer index only (see :func:`_laws`), compared one slice of tuples at
+    a time.  A failing report carries the lexicographically least tuple at
+    which any law's sides differ, the first listed law that differs there,
+    and both sides, the only field scalars made: each side divided by the
+    law's scale.  Inputs are immutable, so results are memoized.
     """
-    laws, scale = _laws(A, kind, derivation)
-    firsts = [_first_difference(lhs, rhs) for _, lhs, rhs in laws]
-    found = [t for t in firsts if t is not None]
-    if not found:
-        return IdentityReport(kind, True)
-    t = min(found)
-    law, lhs, rhs = laws[firsts.index(t)]
-    lhs, rhs = (from_int_vector(A.field, [side.get(t, {}).get(k, 0) for k in range(A.dim)],
-                                scale)
-                for side in (lhs, rhs))
-    return IdentityReport(kind, False, IdentityFailure(law, t, lhs, rhs))
+    slices, scale = _laws(A, kind, derivation)
+    for laws in slices:
+        found = [(t, n) for n, (_, lhs, rhs) in enumerate(laws)
+                 if (t := _first_difference(lhs, rhs)) is not None]
+        if found:
+            t, n = min(found)
+            law, lhs, rhs = laws[n]
+            lhs, rhs = (from_int_vector(A.field, [side.get(t, {}).get(k, 0)
+                                                  for k in range(A.dim)], scale)
+                        for side in (lhs, rhs))
+            return IdentityReport(kind, False, IdentityFailure(law, t, lhs, rhs))
+    return IdentityReport(kind, True)
 
 
 def _laws(A, kind, derivation):
-    """``(laws, scale)``: the ``(law, lhs, rhs)`` pairs of an identity kind,
-    each side scaled by the one positive integer scale.
+    """``(slices, scale)``: the ``(law, lhs, rhs)`` pairs of an identity
+    kind, each side scaled by the one positive integer scale, as a sequence
+    of slices, each a list of laws on a set of basis tuples.  Every tuple of
+    a slice is less than every tuple of a later slice, so the first slice
+    where a law differs holds the least tuple where any does.  ``eq1`` comes
+    in runs of consecutive first indices (see :func:`_eq1_slices`); every
+    other kind is one slice.
 
     Each side is a tensor: a dict from a basis tuple to the nonzero integer
     coordinates ``{k: n}`` of scale times that side there, absent meaning
@@ -341,7 +336,7 @@ def _laws(A, kind, derivation):
     D = A._den
     P = {(i, j): dict(ts) for i, j, ts in A._int_products()}
     if kind == "commutative":
-        return [("xy == yx", P, _swapped(P, 0, 1))], D
+        return [[("xy == yx", P, _swapped(P, 0, 1))]], D
     if kind == "leibniz":
         if derivation is None:
             raise ValueError("leibniz check needs a linear map")
@@ -349,20 +344,61 @@ def _laws(A, kind, derivation):
         e = derivation.den
         M = {(j,): dict(col) for j, c in enumerate(zip(*derivation.int_rows))
              if (col := terms(c))}  # (j,) -> e d(e_j)
-        return [("d(xy) == d(x)y + x d(y)", _tensor(F, _apply(P, M)),
-                 _tensor(F, _substitute(P, 0, M), _substitute(P, 1, M)))], D * e
+        outputs = _by_output(M.items())
+        return [[("d(xy) == d(x)y + x d(y)", _tensor(F, _apply(P.items(), _by_slot(M, 0))),
+                  _tensor(F, _substitute(P.items(), 0, outputs),
+                          _substitute(P.items(), 1, outputs)))]], D * e
     if kind not in ("associative", "novikov", "eq1"):
         raise ValueError(f"unknown identity kind {kind!r}")
-    assoc = _tensor(F, _apply(P, P), minus=_substitute(P, 1, P))
+    rows, outputs = _by_slot(P, 0), _by_output(P.items())
+    assoc = _tensor(F, _apply(P.items(), rows), minus=_substitute(P.items(), 1, outputs))
     if kind == "associative":
-        return [("(xy)z == x(yz)", assoc, {})], D * D
+        return [[("(xy)z == x(yz)", assoc, {})]], D * D
     if kind == "novikov":
-        right = _tensor(F, _apply(P, P))  # (e_i e_j) e_k
-        return [("(x,y,z) == (y,x,z)", assoc, _swapped(assoc, 0, 1)),
-                ("(xy)z == (xz)y", right, _swapped(right, 1, 2))], D * D
-    times = _tensor(F, _apply(assoc, P))  # (e_i, e_j, e_k) e_l
-    return [("(x,y,z)t == (xt,y,z)", times, _tensor(F, _substitute(assoc, 0, P))),
-            ("(x,y,z)t == (x,yt,z)", times, _tensor(F, _substitute(assoc, 1, P)))], D ** 3
+        right = _tensor(F, _apply(P.items(), rows))  # (e_i e_j) e_k
+        return [[("(x,y,z) == (y,x,z)", assoc, _swapped(assoc, 0, 1)),
+                 ("(xy)z == (xz)y", right, _swapped(right, 1, 2))]], D * D
+    return _eq1_slices(F, rows, outputs, _by_slot(assoc, 0)), D ** 3
+
+
+# Entries of P and the associator in one ``eq1`` slice: consecutive first
+# indices are taken together up to this many, so a small algebra is one
+# slice and the set-up of a slice is paid only where memory calls for it.
+EQ1_SLICE_ENTRIES = 1024
+
+
+def _eq1_slices(F, rows, outputs, cubes):
+    """Yield the two ``eq1`` laws on the tuples ``(i, j, k, l)`` of a run of
+    consecutive first indices i at a time, in increasing i, over the i where
+    P or the associator has an entry.  A run holds at most
+    ``EQ1_SLICE_ENTRIES`` entries of P and the associator, or one i that
+    alone holds more.  ``rows`` and ``cubes`` group P and the associator by
+    first index, ``outputs`` groups P by output coordinate.  A slice holds
+    ``(e_i, e_j, e_k) e_l``, ``(e_i e_l, e_j, e_k)`` and
+    ``(e_i, e_j e_l, e_k)``, so memory is one slice, not the whole tensors.
+    """
+    run, size = [], 0
+    for i in sorted(rows.keys() | cubes.keys()):
+        n = len(rows.get(i, ())) + len(cubes.get(i, ()))
+        if run and size + n > EQ1_SLICE_ENTRIES:
+            yield _eq1_slice(F, run, rows, outputs, cubes)
+            run, size = [], 0
+        run.append(i)
+        size += n
+    if run:
+        yield _eq1_slice(F, run, rows, outputs, cubes)
+
+
+def _eq1_slice(F, firsts, rows, outputs, cubes):
+    """The two ``eq1`` laws on the tuples whose first index is in firsts."""
+    row = [entry for i in firsts for entry in rows.get(i, ())]
+    cube = [entry for i in firsts for entry in cubes.get(i, ())]
+    times = _tensor(F, _apply(cube, rows))
+    # (e_i e_l, e_j, e_k) = sum_m c_il^m (e_m, e_j, e_k) at (i, j, k, l)
+    xt = ((key[:1] + ckey[1:] + key[1:], c, terms.items())
+          for key, v in row for m, c in v.items() for ckey, terms in cubes.get(m, ()))
+    return [("(x,y,z)t == (xt,y,z)", times, _tensor(F, xt)),
+            ("(x,y,z)t == (x,yt,z)", times, _tensor(F, _substitute(cube, 1, outputs)))]
 
 
 def _tensor(field, *parts, minus=()):
@@ -371,14 +407,15 @@ def _tensor(field, *parts, minus=()):
     Residues are reduced and zeros dropped, so equal tensors are equal dicts.
     """
     acc = {}
-    for sign, contributions in [(1, part) for part in parts] + [(-1, minus)]:
-        for key, a, terms in contributions:
-            out = acc.get(key)
-            if out is None:
-                out = acc[key] = {}
-            a *= sign
-            for k, c in terms:
-                out[k] = out.get(k, 0) + a * c
+    for sign, group in ((1, parts), (-1, (minus,))):
+        for contributions in group:
+            for key, a, terms in contributions:
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = {}
+                a *= sign
+                for k, c in terms:
+                    out[k] = out.get(k, 0) + a * c
     p = field.p
     tensor = {}
     for key, out in acc.items():
@@ -392,34 +429,43 @@ def _tensor(field, *parts, minus=()):
 
 
 def _by_slot(T, slot):
-    """``m -> [(key, terms)]`` over the entries of T with ``key[slot] == m``."""
+    """``m -> [(key, value)]`` over the entries of T with ``key[slot] == m``."""
     groups = {}
     for key, v in T.items():
-        groups.setdefault(key[slot], []).append((key, v.items()))
+        groups.setdefault(key[slot], []).append((key, v))
     return groups
 
 
-def _apply(T, S):
-    """Contributions of ``sum_m T[key]_m S[(m,) + s]`` at ``key + s``: with
-    S = P this is "times e_l"; with S a map's columns it applies the map."""
-    groups = _by_slot(S, 0)
-    for key, v in T.items():
+def _by_output(entries):
+    """``m -> [(key, c)]`` over the ``(key, value)`` entries of a tensor
+    whose value has the nonzero coordinate c at m."""
+    groups = {}
+    for key, v in entries:
         for m, c in v.items():
-            for skey, terms in groups.get(m, ()):
-                yield key + skey[1:], c, terms
+            groups.setdefault(m, []).append((key, c))
+    return groups
 
 
-def _substitute(T, slot, S):
-    """Contributions of S substituted into one slot of T: at
-    ``key[:slot] + (x,) + key[slot + 1:] + s``, ``sum_m S[(x,) + s]_m T[key]``
-    over the keys with m at ``slot``.  With S = P and slot 1 this is
+def _apply(T, rows):
+    """Contributions of ``sum_m T[key]_m S[(m,) + s]`` at ``key + s``, for
+    T given by its ``(key, value)`` entries and ``rows = _by_slot(S, 0)``:
+    with S = P this is "times e_l"; with S a map's columns it applies the
+    map."""
+    for key, v in T:
+        for m, c in v.items():
+            for skey, terms in rows.get(m, ()):
+                yield key + skey[1:], c, terms.items()
+
+
+def _substitute(T, slot, outputs):
+    """Contributions of S substituted into one slot of T, for T given by its
+    ``(key, value)`` entries and ``outputs = _by_output(S)``: at
+    ``key[:slot] + (x,) + key[slot + 1:] + s``, ``S[(x,) + s]_m T[key]``
+    for m = ``key[slot]``.  With S = P and slot 1 this is
     ``(e_i, e_j e_l, e_k) = sum_m c_jl^m (e_i, e_m, e_k)`` at ``(i, j, k, l)``."""
-    groups = _by_slot(T, slot)
-    for skey, v in S.items():
-        head, tail = skey[:1], skey[1:]
-        for m, c in v.items():
-            for key, terms in groups.get(m, ()):
-                yield key[:slot] + head + key[slot + 1:] + tail, c, terms
+    for key, v in T:
+        for skey, c in outputs.get(key[slot], ()):
+            yield key[:slot] + skey[:1] + key[slot + 1:] + skey[1:], c, v.items()
 
 
 def _swapped(T, a, b):

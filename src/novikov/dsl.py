@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
 
 from .core import AlgebraTable
 from .exactlin import GF, QQ, Matrix, vec_is_zero, vec_zeros
@@ -69,21 +68,32 @@ def _tokenize(text_line, lineno):
     return tokens
 
 
-@dataclass
 class AlgebraDoc:
     """Parsed algebra definition.
 
     ``products`` maps basis index pairs to coordinate vectors; ``maps``
     stores named linear maps column by column.  ``positions`` keeps the
     source location of each declaration for diagnostics and is excluded
-    from equality.
+    from equality.  Documents are mutable, so they are not hashable.
     """
 
-    field: object
-    basis: tuple
-    products: dict
-    maps: dict
-    positions: dict = dc_field(default_factory=dict, compare=False)
+    def __init__(self, field, basis, products, maps, positions=None):
+        self.field = field
+        self.basis = basis
+        self.products = products
+        self.maps = maps
+        self.positions = {} if positions is None else positions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.basis, self.products, self.maps)
+                == (other.field, other.basis, other.products, other.maps))
+
+    def __repr__(self):
+        return (f"AlgebraDoc(field={self.field!r}, basis={self.basis!r}, "
+                f"products={self.products!r}, maps={self.maps!r}, "
+                f"positions={self.positions!r})")
 
     @property
     def dim(self):

@@ -7,7 +7,7 @@ literal equality of echelon bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import AlgebraTable, terms
@@ -163,18 +163,14 @@ def is_trivial_ideal(A, I):
 # chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(namedtuple("ChainReport", "kind terms stabilized index")):
     """Successive terms of a power/series chain, 1-indexed.
 
     ``index`` is the first k with term_k = 0 when the chain reaches zero;
     otherwise None and the last term is the nonzero fixed point.
     """
 
-    kind: str
-    terms: tuple
-    stabilized: bool
-    index: int | None
+    __slots__ = ()
 
 
 @lru_cache(maxsize=4096)
@@ -243,23 +239,15 @@ def _full_chain(A, base, square):
     return ChainReport("full", tuple(terms), True, index)
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
+class ClassifyReport(namedtuple("ClassifyReport",
+                                "right_nilpotent solvable lie_solvable nilpotent")):
     """Structural predicates, each with the chain index where zero is hit
     (1-indexed) or None when the chain stabilizes at a nonzero term."""
 
-    right_nilpotent: int | None
-    solvable: int | None
-    lie_solvable: int | None
-    nilpotent: int | None
+    __slots__ = ()
 
     def as_dict(self):
-        return {
-            "right_nilpotent": self.right_nilpotent,
-            "solvable": self.solvable,
-            "lie_solvable": self.lie_solvable,
-            "nilpotent": self.nilpotent,
-        }
+        return self._asdict()
 
 
 @lru_cache(maxsize=1024)

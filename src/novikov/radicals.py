@@ -12,7 +12,7 @@ Every report carries re-checkable certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -20,7 +20,7 @@ from .core import terms, verify_identity
 from .errors import (BudgetExceededError, CharTwoError, NotAnIdealError,
                      NotCommutativeAssociativeError, NotLieSolvableError,
                      PreconditionError, WorkbenchError)
-from .exactlin import (Matrix, Subspace, from_int_vector, int_solve, int_vector,
+from .exactlin import (Matrix, from_int_vector, int_solve, int_vector,
                        kernel, vec_add)
 from .ideals import chain, commutator_ideal, is_ideal, subspace_product
 
@@ -31,24 +31,21 @@ CLAIM_TAGS = ("lemma1", "lemma3", "theorem1", "lifting", "quasireg", "tower")
 MAX_POWER_EXPONENT = 1 << 16
 
 
-@dataclass
-class Certificate:
+class Certificate(namedtuple("Certificate", "claim data")):
     """Machine-checkable record of one verified claim instance.
 
     ``data`` stores the raw inputs alongside every asserted equality or
-    membership, so :func:`check_certificate` can re-derive all of it.
+    membership, so :func:`check_certificate` can re-derive all of it; a
+    certificate made without it gets a fresh empty dict.
     """
 
-    claim: str
-    data: dict = dc_field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, claim, data=None):
+        return super().__new__(cls, claim, {} if data is None else data)
 
 
-@dataclass
-class RadicalReport:
-    kind: str
-    radical: Subspace
-    route: str
-    witnesses: list
+RadicalReport = namedtuple("RadicalReport", "kind radical route witnesses")
 
 
 # ---------------------------------------------------------------------------

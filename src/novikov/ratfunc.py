@@ -9,7 +9,7 @@ nonzero leading term, reported case by case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CarrierMembershipError
@@ -271,19 +271,15 @@ def left_quasi_inverse(u):
     return y
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    """Leading-term case analysis of the right-quasiregularity obstruction."""
+class CaseReport(namedtuple("CaseReport", "case num_degree den_degree predicted_coeff "
+                                         "predicted_exponent actual_coeff actual_exponent "
+                                         "matches residual_is_zero")):
+    """Leading-term case analysis of the right-quasiregularity obstruction.
 
-    case: str  # "m>n", "n>m" or "n=m" with n = deg f, m = deg g
-    num_degree: int
-    den_degree: int
-    predicted_coeff: Fraction
-    predicted_exponent: int
-    actual_coeff: Fraction
-    actual_exponent: int
-    matches: bool
-    residual_is_zero: bool
+    ``case`` is "m>n", "n>m" or "n=m" with n = deg f, m = deg g.
+    """
+
+    __slots__ = ()
 
 
 def right_qr_residual(f, g):

@@ -8,19 +8,20 @@ The dense references are written here, except the textbook Gauss-Jordan,
 which ``corpus`` shares with ``test_exactlin``.
 """
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import (a2, field_algebra, gf3_population, left_basis_mul, q_corpus,
                     ref_gauss_jordan, ref_kernel, ref_solve, ref_span, reference_identity,
                     right_basis_mul)
 from novikov import GF, QQ, AlgebraTable, Matrix, Subspace
-from novikov import ideals, radicals
+from novikov import core, ideals, radicals
 from novikov.constructions import (direct_sum, example1_algebra, gd_construct,
                                    split_idempotents,
                                    truncated_poly, truncated_poly_derivation,
@@ -385,8 +386,28 @@ def identity_cases(draw):
     return kind, AlgebraTable(F, cube, A.basis_names), None if d is None else d.scale(mu)
 
 
+def perturbed_example1(i, j, k, c):
+    """The Gelfand-Dorfman product of Example 1 in three variables (dim 7,
+    eq1 holds) with the constant c_ij^k moved by c."""
+    B, d = example1_algebra(3)
+    cube = [[list(v) for v in plane] for plane in gd_construct(B, d).cube]
+    cube[i][j][k] += c
+    return AlgebraTable(QQ, cube)
+
+
 @settings(max_examples=120, deadline=None)
 @given(identity_cases())
+# These algebras are one eq1 slice; the test also checks them with one first
+# index per slice.  Here slices 0-2 have entries and agree; the least
+# failing tuple, (3, 0, 1, 3), is in slice 3.
+@example(("eq1", perturbed_example1(3, 2, 2, Fraction(1, 2)), None))
+# Both laws first differ in slice 3, the first at (3, 0, 1, 0) and the
+# second at the smaller (3, 0, 0, 1), so the report names the second.
+@example(("eq1", perturbed_example1(3, 2, 5, Fraction(1, 2)), None))
+# Every associator (e1, y, z) is zero, so slice 0 holds only (e1 t, y, z),
+# and the least failing tuple, (0, 0, 1, 1), is there.
+@example(("eq1", AlgebraTable.from_products(QQ, 2, {(0, 0): (1, 0), (0, 1): (0, 1),
+                                                      (1, 1): (0, 1)}), None))
 def test_integer_laws_match_the_field_scalar_reference(case):
     kind, A, d = case
     rep = verify_identity(A, kind, derivation=d)
@@ -394,6 +415,13 @@ def test_integer_laws_match_the_field_scalar_reference(case):
     if not rep.ok:
         assert canonical_types(A.field, rep.failure.lhs)
         assert canonical_types(A.field, rep.failure.rhs)
+    if kind == "eq1":
+        # one first index per slice, as on an algebra too large for one
+        cap, core.EQ1_SLICE_ENTRIES = core.EQ1_SLICE_ENTRIES, 1
+        try:
+            assert verify_identity.__wrapped__(A, kind) == rep  # past the lru cache
+        finally:
+            core.EQ1_SLICE_ENTRIES = cap
 
 
 def sparse_bases(F):
@@ -476,6 +504,22 @@ def test_eq1_failures_are_the_element_associators(data):
         F = data.draw(st.sampled_from(FIELDS))
         A = data.draw(sparse_perturbations(sparse_bases(F)[2]))
     assert_eq1_report_by_elements(A)
+
+
+def test_eq1_holds_one_slice_at_a_time():
+    # the whole 4-index tensors of eq1 at k=7 (dim 127) peak at 31 MB of
+    # Python allocations; slices of at most EQ1_SLICE_ENTRIES entries stay
+    # under 16
+    B, d = example1_algebra(7)
+    A = gd_construct(B, d, check=False)
+    hash(A)
+    tracemalloc.start()
+    try:
+        assert verify_identity.__wrapped__(A, "eq1").ok  # past the lru cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_eq1_second_law_substitutes_into_the_middle_slot():

@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 from test_sparse_core import FIELDS, subspaces, tables
 from novikov import GF, QQ, AlgebraTable, Matrix
 from novikov.constructions import (adjoin_unit, direct_sum, example1_algebra,
-                                   gd_construct, random_commutative_pair, zero_algebra)
+                                   gd_construct, random_commutative_pair, truncated_poly,
+                                   weighted_euler_derivation, zero_algebra)
 from novikov.core import verify_identity
 from novikov.dsl import doc_from_algebra, parse_algebra_source, serialize_algebra_doc
+from novikov.errors import NotADerivationError
 from novikov.ideals import ideal_closure, quotient
 
 
@@ -166,6 +168,28 @@ def test_the_product_rule_and_gd_construct_hash_no_fraction(monkeypatch):
     gd_construct(B, d, check=False)
     half = Matrix.diagonal(QQ, [Fraction(1, 2)] * B.dim)  # not a derivation
     assert verify_identity(B, "leibniz", derivation=half).failure is not None
+
+
+def test_the_grading_check_reads_the_integer_index(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("two Fractions were added")
+
+    monkeypatch.setattr(Fraction, "__add__", refuse)
+    monkeypatch.setattr(Fraction, "__radd__", refuse)
+    B = truncated_poly(4)  # t^i t^j = t^(i+j), zero from t^4 on
+    half = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    assert weighted_euler_derivation(B, half).rows[2][2] == Fraction(3, 2)
+    with pytest.raises(NotADerivationError) as err:
+        weighted_euler_derivation(B, [Fraction(1, 2), 1, 2])
+    assert str(err.value) == ("weights are not compatible with the grading at "
+                              "product (0, 1) component 2")
+    assert B._index is None  # no Fraction index was made
+    # over GF(3) the weights are residues: 2 + 2 = 1 is the weight of t^2
+    F = GF(3)
+    B3 = AlgebraTable._from_int_terms(F, 3, {(0, 0): [(1, 1)]}, 1)
+    weighted_euler_derivation(B3, [2, 1, 0])
+    with pytest.raises(NotADerivationError):
+        weighted_euler_derivation(B3, [2, 2, 0])
 
 
 def test_a_table_is_immutable():
