@@ -18,7 +18,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 from novikov.cli import main
 from novikov.constructions import (example1_algebra, truncated_poly,
                                    weighted_euler_derivation)
-from novikov.dsl import doc_from_algebra, serialize_algebra_doc
+from novikov.dsl import AlgebraDoc, serialize_algebra_doc
 
 GOLDEN_RUNS = [
     ("a2", ["check"]),
@@ -44,15 +44,20 @@ GOLDEN_RUNS = [
 ]
 
 
-def write_generated_inputs():
+def generated_inputs():
+    """``{file name: text}`` of the derived .alg inputs."""
     B4 = truncated_poly(4)
-    doc = doc_from_algebra(B4, {"euler": weighted_euler_derivation(B4, [1, 2, 3])})
-    (GOLDEN / "tpoly4.alg").write_text(serialize_algebra_doc(doc), encoding="utf-8")
+    out = {"tpoly4.alg": serialize_algebra_doc(
+        AlgebraDoc(B4, {"euler": weighted_euler_derivation(B4, [1, 2, 3])}))}
     for k in (2, 3):
         B, d = example1_algebra(k)
-        doc = doc_from_algebra(B, {"deg": d})
-        (GOLDEN / f"ex1k{k}.alg").write_text(serialize_algebra_doc(doc),
-                                             encoding="utf-8")
+        out[f"ex1k{k}.alg"] = serialize_algebra_doc(AlgebraDoc(B, {"deg": d}))
+    return out
+
+
+def write_generated_inputs():
+    for name, text in generated_inputs().items():
+        (GOLDEN / name).write_text(text, encoding="utf-8")
 
 
 def golden_name(fixture, argv):

@@ -5,7 +5,7 @@ Reports are JSON with sorted keys and exact coefficient strings, so equal
 inputs produce byte-identical output.  Exit codes: 0 success, 1 analysis
 precondition failure or an option value out of range (``INVALID_OPTION``:
 a thread count below one, a ``NOVIKOV_ORACLE_BUDGET`` that is not an
-integer), 2 parse error or an unreadable input file (``READ_ERROR``), 3
+integer or is below one), 2 parse error or an unreadable input file (``READ_ERROR``), 3
 internal error (a broken invariant, reported as ``INTERNAL_ERROR`` rather
 than a traceback); a reader that closes the output pipe early ends the
 report without one.  Under ``--json`` each of these errors is a coded
@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .constructions import gd_construct
 from .core import verify_identity
-from .dsl import (ParseError, _check_digits, doc_from_algebra, parse_algebra_source,
+from .dsl import (AlgebraDoc, ParseError, _check_digits, parse_algebra_source,
                   parse_element_combo, serialize_algebra_doc)
 from .errors import WorkbenchError
 from .exactlin import Subspace
@@ -86,140 +86,101 @@ def _certificate(A, cert):
     return {"claim": cert.claim, "data": {k: render(v) for k, v in cert.data.items()}}
 
 
-def _base_payload(doc, command):
-    return {
-        "version": __version__,
-        "command": command,
-        "field": doc.field.spec_string(),
-        "algebra": {"dim": doc.dim, "basis": list(doc.basis)},
-    }
-
-
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns its own fields of the report
 # ---------------------------------------------------------------------------
 
-def _cmd_check(doc, options):
-    A = doc.to_algebra()
+def _cmd_check(A, maps, options):
     checks = {kind: _identity_report(A, verify_identity(A, kind))
               for kind in ("novikov", "eq1", "associative", "commutative")}
-    maps = {}
-    for name in sorted(doc.maps):
-        maps[name] = {"leibniz": _identity_report(
-            A, verify_identity(A, "leibniz", derivation=doc.map_matrix(name)))}
-    payload = _base_payload(doc, "check")
-    payload["checks"] = checks
-    payload["maps"] = maps
-    return payload
+    leibniz = {name: {"leibniz": _identity_report(A, verify_identity(A, "leibniz", derivation=d))}
+               for name, d in sorted(maps.items())}
+    return {"checks": checks, "maps": leibniz}
 
 
-def _cmd_series(doc, options):
-    A = doc.to_algebra()
+def _cmd_series(A, maps, options):
     rep = chain(A, options["kind"])
-    payload = _base_payload(doc, "series")
-    payload["kind"] = options["kind"]
-    payload["terms"] = [_subspace(t) for t in rep.terms]
-    payload["stabilized"] = rep.stabilized
-    payload["index"] = rep.index
-    payload["route"] = f"successive {options['kind']} terms until zero or a fixed point"
-    return payload
+    return {"kind": options["kind"], "terms": [_subspace(t) for t in rep.terms],
+            "stabilized": rep.stabilized, "index": rep.index,
+            "route": f"successive {options['kind']} terms until zero or a fixed point"}
 
 
-def _cmd_radical(doc, options):
-    A = doc.to_algebra()
+def _cmd_radical(A, maps, options):
     report = baer_radical(A) if options["kind"] == "baer" else lqr_radical(A)
-    payload = _base_payload(doc, "radical")
-    payload["kind"] = options["kind"]
-    payload["radical"] = _subspace(report.radical)
-    payload["route"] = report.route
-    payload["classify"] = _classify(classify(A))
-    payload["witnesses"] = [_certificate(A, c) for c in report.witnesses]
-    return payload
+    return {"kind": options["kind"], "radical": _subspace(report.radical),
+            "route": report.route, "classify": _classify(classify(A)),
+            "witnesses": [_certificate(A, c) for c in report.witnesses]}
 
 
-def _cmd_quasi_inverse(doc, options):
-    A = doc.to_algebra()
-    x = parse_element_combo(options["element"], doc)
-    payload = _base_payload(doc, "quasi-inverse")
-    payload["element"] = _vec(doc.field, x)
-    payload["side"] = options["side"]
+def _cmd_quasi_inverse(A, maps, options):
+    x = parse_element_combo(options["element"], A)
     y = quasiregular_solve(A, x, side=options["side"])
-    payload["quasiregular"] = y is not None
-    payload["solution"] = None if y is None else _vec(doc.field, y)
-    payload["route"] = "linear solve against the multiplication operator"
+    out = {"element": _vec(A.field, x), "side": options["side"],
+           "quasiregular": y is not None,
+           "solution": None if y is None else _vec(A.field, y),
+           "route": "linear solve against the multiplication operator"}
     if options.get("lift"):
         if options["side"] != "left":
             raise WorkbenchError("lifting applies to the left side only")
         lifted = quasi_inverse_lift(A, x)
         if lifted is None:
-            payload["lift"] = None
+            out["lift"] = None
         else:
             ylift, cert = lifted
-            payload["lift"] = {"solution": _vec(doc.field, ylift),
-                               "certificate": _certificate(A, cert)}
-        payload["route"] += "; lift through the commutative quotient"
-    return payload
+            out["lift"] = {"solution": _vec(A.field, ylift),
+                           "certificate": _certificate(A, cert)}
+        out["route"] += "; lift through the commutative quotient"
+    return out
 
 
-def _cmd_gd(doc, options):
-    A = doc.to_algebra()
+def _cmd_gd(A, maps, options):
     name = options["derivation"]
-    if name not in doc.maps:
+    if name not in maps:
         raise WorkbenchError(f"no map named {name!r} in the input")
-    result = gd_construct(A, doc.map_matrix(name))
-    payload = _base_payload(doc, "gd")
-    payload["derivation"] = name
-    payload["algebra_source"] = serialize_algebra_doc(doc_from_algebra(result))
-    payload["checks"] = {
-        kind: _identity_report(result, verify_identity(result, kind))
-        for kind in ("novikov", "eq1")
+    result = gd_construct(A, maps[name])
+    return {
+        "derivation": name,
+        "algebra_source": serialize_algebra_doc(AlgebraDoc(result, {})),
+        "checks": {kind: _identity_report(result, verify_identity(result, kind))
+                   for kind in ("novikov", "eq1")},
+        "route": "product x . y = x d(y) on the commutative input",
     }
-    payload["route"] = "product x . y = x d(y) on the commutative input"
-    return payload
 
 
-def _cmd_certify(doc, options):
-    A = doc.to_algebra()
-    x = parse_element_combo(options["element"], doc)
+def _cmd_certify(A, maps, options):
+    x = parse_element_combo(options["element"], A)
     ideal = None
     if options.get("ideal"):
-        gens = [parse_element_combo(g, doc) for g in options["ideal"]]
-        ideal = ideal_closure(A, Subspace.span(doc.field, gens, doc.dim))
-    cert = bound_certificates(A, x, options["n"], ideal=ideal,
-                              claim=options["claim"])
-    payload = _base_payload(doc, "certify")
-    payload["claim"] = options["claim"]
-    payload["n"] = options["n"]
-    payload["certificate"] = _certificate(A, cert)
-    payload["route"] = ("ideal generated by the supplied combinations"
-                        if ideal is not None else "element powers only")
-    return payload
+        gens = [parse_element_combo(g, A) for g in options["ideal"]]
+        ideal = ideal_closure(A, Subspace.span(A.field, gens, A.dim))
+    cert = bound_certificates(A, x, options["n"], ideal=ideal, claim=options["claim"])
+    return {"claim": options["claim"], "n": options["n"],
+            "certificate": _certificate(A, cert),
+            "route": ("ideal generated by the supplied combinations"
+                      if ideal is not None else "element powers only")}
 
 
-def _cmd_oracle(doc, options):
-    A = doc.to_algebra()
+def _cmd_oracle(A, maps, options):
     budget = options.get("budget")
-    payload = _base_payload(doc, "oracle")
-    payload["task"] = options["task"]
-    payload["budget"] = DEFAULT_BUDGET if budget is None else budget
+    out = {"task": options["task"], "budget": DEFAULT_BUDGET if budget is None else budget}
     if options["task"] == "tower":
         tower, radical = bruteforce_baer_tower(A, budget)
-        payload["tower"] = [_subspace(t) for t in tower]
-        payload["radical"] = _subspace(radical)
-        payload["route"] = "sum of all trivial ideals, iterated through quotients"
+        out["tower"] = [_subspace(t) for t in tower]
+        out["radical"] = _subspace(radical)
+        out["route"] = "sum of all trivial ideals, iterated through quotients"
     elif options["task"] == "nilpotents":
         nil = bruteforce_nilpotents(A, budget)
-        payload["count"] = len(nil)
-        payload["elements"] = [_vec(doc.field, v) for v in nil]
-        payload["route"] = "direct power iteration over every point"
+        out["count"] = len(nil)
+        out["elements"] = [_vec(A.field, v) for v in nil]
+        out["route"] = "direct power iteration over every point"
     else:
         kind = options.get("kind")
         if kind not in ("domain", "field"):
             raise WorkbenchError("intersection task needs --kind domain|field")
-        payload["kind"] = kind
-        payload["intersection"] = _subspace(quotient_intersection(A, kind, budget))
-        payload["route"] = f"intersection of ideals with {kind} quotient"
-    return payload
+        out["kind"] = kind
+        out["intersection"] = _subspace(quotient_intersection(A, kind, budget))
+        out["route"] = f"intersection of ideals with {kind} quotient"
+    return out
 
 
 _COMMANDS = {
@@ -235,21 +196,20 @@ _COMMANDS = {
 
 def run_report(doc, command, options=None):
     """Run one command against a parsed document; returns (JSON text, exit code)."""
-    options = options or {}
+    A = doc.algebra
+    payload = {"version": __version__, "command": command, "field": A.field.spec_string(),
+               "algebra": {"dim": A.dim, "basis": list(A.basis_names)}}
     try:
-        payload = _COMMANDS[command](doc, options)
+        payload.update(_COMMANDS[command](A, doc.maps, options or {}))
         code = 0
     except WorkbenchError as exc:
-        payload = _base_payload(doc, command)
         payload["error"] = {"code": exc.code, "message": str(exc)}
         code = 1
     except ParseError as exc:  # malformed element/ideal combination options
-        payload = _base_payload(doc, command)
         payload["error"] = {"code": "PARSE_ERROR", "message": exc.message,
                             "line": exc.line, "col": exc.col}
         code = 2
     except RuntimeError as exc:  # an internal invariant failed
-        payload = _base_payload(doc, command)
         payload["error"] = {"code": "INTERNAL_ERROR", "message": str(exc)}
         code = 3
     return json.dumps(payload, sort_keys=True, indent=2) + "\n", code
@@ -422,6 +382,8 @@ def main(argv=None):
                 options["budget"] = int(env)
             except ValueError:
                 return _early_error(args, 1, "INVALID_OPTION", f"{ENV_BUDGET} must be an integer")
+            if options["budget"] < 1:
+                return _early_error(args, 1, "INVALID_OPTION", f"{ENV_BUDGET} must be positive")
     text_out, code = run_report(doc, args.command, options)
     if args.json:
         _to_stdout(sys.stdout.write, text_out)

@@ -13,7 +13,6 @@ Tables are immutable and every operation is pure.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -31,12 +30,11 @@ class AlgebraTable:
     the least common multiple of the reduced denominators (over GF(p) the
     n are residues and D is 1).  The form is canonical, so equal algebras
     have equal integer indexes and equality and hashing read it alone.
-    ``index`` holds the same terms as field scalars; over QQ its Fractions
-    are made on first read.  The hash and ``index`` are pure functions of
-    the integer form, so a race only computes them twice.
+    The hash is a pure function of the integer form, so a race only
+    computes it twice.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "_hash", "_int_index", "_den", "_index")
+    __slots__ = ("field", "dim", "basis_names", "_hash", "_int_index", "_den")
 
     def __init__(self, field, cube, basis_names=None):
         """Validate a dense ``dim x dim x dim`` cube ``c[i][j][k]``."""
@@ -80,7 +78,6 @@ class AlgebraTable:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_int_index", index)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_index", index if p is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraTable is immutable")
@@ -101,35 +98,16 @@ class AlgebraTable:
         return A
 
     @property
-    def index(self):
-        """``index[i][j]``: the nonzero ``(k, c)`` terms of ``e_i e_j`` in
-        increasing k, with c a field scalar."""
-        index = self._index
-        if index is None:
-            den = self._den
-            index = tuple(tuple(tuple([(k, Fraction(n, den)) for k, n in ts]) for ts in row)
-                          for row in self._int_index)
-            object.__setattr__(self, "_index", index)
-        return index
-
-    @property
     def cube(self):
         """The dense structure cube ``c[i][j][k]`` as nested tuples.  It is
         built on each read, so every read costs O(dim^3) time and memory."""
         return tuple(tuple(self.basis_product(i, j) for j in range(self.dim))
                      for i in range(self.dim))
 
-    def nonzero_products(self):
-        """Yield ``(i, j, terms)`` for every nonzero ``e_i e_j``, in
-        increasing ``(i, j)``, with the ``(k, c)`` terms of ``index[i][j]``."""
-        for i, row in enumerate(self.index):
-            for j, terms in enumerate(row):
-                if terms:
-                    yield i, j, terms
-
     def _int_products(self):
-        """:meth:`nonzero_products` with the integer ``(k, n)`` terms of
-        ``_int_index``, each n over the common denominator ``_den``."""
+        """Yield ``(i, j, terms)`` for every nonzero ``e_i e_j``, in
+        increasing ``(i, j)``, with the integer ``(k, n)`` terms of
+        ``_int_index[i][j]``, each n over the common denominator ``_den``."""
         for i, row in enumerate(self._int_index):
             for j, terms in enumerate(row):
                 if terms:
@@ -137,10 +115,10 @@ class AlgebraTable:
 
     def basis_product(self, i, j):
         """``e_i e_j`` as a dense coordinate vector."""
-        out = [self.field.zero] * self.dim
-        for k, c in self.index[i][j]:
-            out[k] = c
-        return tuple(out)
+        out = [0] * self.dim
+        for k, n in self._int_index[i][j]:
+            out[k] = n
+        return from_int_vector(self.field, out, self._den)
 
     # -- elements ----------------------------------------------------------
 

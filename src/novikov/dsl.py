@@ -4,8 +4,8 @@ Grammar ('#' starts a comment, blank lines ignored)::
 
     field rational            | field gf <p>
     basis <name> <name> ...   (may repeat; names accumulate)
-    mul <b> <b> = <term> (+|- <term>)*      term = [coeff*]<b>
-    map <name> <b> = <term> (+|- <term>)*   one line per basis column
+    mul <b> <b> = <combo>          combo = 0 | <term> (+|- <term>)*
+    map <name> <b> = <combo>       term = [coeff*]<b>; one line per column
 
 Coefficients are integers, fractions p/q (rational field only) or residues.
 Unspecified products and map columns are zero.  Parse errors carry the line
@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 
 from .core import AlgebraTable
-from .exactlin import GF, QQ, Matrix, vec_is_zero, vec_zeros
+from .exactlin import GF, QQ, Matrix
 
 
 class ParseError(Exception):
@@ -68,46 +69,9 @@ def _tokenize(text_line, lineno):
     return tokens
 
 
-class AlgebraDoc:
-    """Parsed algebra definition.
-
-    ``products`` maps basis index pairs to coordinate vectors; ``maps``
-    stores named linear maps column by column.  ``positions`` keeps the
-    source location of each declaration for diagnostics and is excluded
-    from equality.  Documents are mutable, so they are not hashable.
-    """
-
-    def __init__(self, field, basis, products, maps, positions=None):
-        self.field = field
-        self.basis = basis
-        self.products = products
-        self.maps = maps
-        self.positions = {} if positions is None else positions
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.field, self.basis, self.products, self.maps)
-                == (other.field, other.basis, other.products, other.maps))
-
-    def __repr__(self):
-        return (f"AlgebraDoc(field={self.field!r}, basis={self.basis!r}, "
-                f"products={self.products!r}, maps={self.maps!r}, "
-                f"positions={self.positions!r})")
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def to_algebra(self):
-        return AlgebraTable.from_products(self.field, self.dim, self.products,
-                                          self.basis)
-
-    def map_matrix(self, name):
-        cols = self.maps[name]
-        return Matrix.from_columns(self.field, [cols.get(j, vec_zeros(self.field, self.dim))
-                                                for j in range(self.dim)],
-                                   nrows=self.dim)
+# A parsed document: its algebra table and its named linear maps,
+# ``{name: Matrix}``.  The maps are a dict, so a document is not hashable.
+AlgebraDoc = namedtuple("AlgebraDoc", "algebra maps")
 
 
 class _LineParser:
@@ -148,11 +112,15 @@ def _parse_coeff(field, token):
                          line, col) from None
 
 
-def _parse_combo(lp, field, name_index, dim):
-    """Parse ``term (+|- term)*`` into a coordinate vector."""
-    out = list(vec_zeros(field, dim))
-    sign = 1
+def _parse_combo(lp, field, name_index):
+    """Parse the rest of the line, ``0`` or ``term (+|- term)*``, into the
+    ``{index: coefficient}`` terms of a vector, summed per basis name."""
+    out = {}
     tok = lp.peek()
+    if tok and tok[1] == "0" and lp.pos == len(lp.tokens) - 1:
+        lp.next()
+        return out
+    sign = 1
     if tok and tok[1] == "-":
         lp.next()
         sign = -1
@@ -176,24 +144,29 @@ def _parse_combo(lp, field, name_index, dim):
                              name_tok[2], name_tok[3])
         if sign < 0:
             coeff = field.neg(coeff)
-        out[idx] = field.add(out[idx], coeff)
+        out[idx] = field.add(out.get(idx, field.zero), coeff)
         nxt = lp.peek()
         if nxt is None:
-            break
+            return out
         if nxt[1] not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', found {nxt[1]!r}", nxt[2], nxt[3])
         sign = 1 if nxt[1] == "+" else -1
         lp.next()
-    return tuple(out)
+
+
+def _dense(field, combo, dim):
+    """The coordinate vector of length dim with the terms of combo."""
+    return tuple(combo.get(k, field.zero) for k in range(dim))
 
 
 def parse_algebra_source(text):
+    """Parse a document into an :class:`AlgebraDoc`: the table is built
+    once, after the last line, so basis names may follow the products."""
     field = None
     basis = []
     name_index = {}
     products = {}
     maps = {}
-    positions = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, lineno)
@@ -249,10 +222,7 @@ def parse_algebra_source(text):
                 raise ParseError(f"duplicate product entry for {a[1]} {b[1]}",
                                  a[2], a[3])
             lp.next(SYMBOL, "=", what="'='")
-            # zero-valued entries are kept here so duplicates are still
-            # rejected, and dropped once the document is assembled
-            products[key] = _parse_combo(lp, field, name_index, len(basis))
-            positions[("mul",) + key] = (a[2], a[3])
+            products[key] = _parse_combo(lp, field, name_index)
             continue
 
         if kw == "map":
@@ -266,8 +236,7 @@ def parse_algebra_source(text):
                 raise ParseError(f"duplicate map entry for {mname[1]} {b[1]}",
                                  mname[2], mname[3])
             lp.next(SYMBOL, "=", what="'='")
-            columns[col] = _parse_combo(lp, field, name_index, len(basis))
-            positions[("map", mname[1], col)] = (mname[2], mname[3])
+            columns[col] = _parse_combo(lp, field, name_index)
             continue
 
         raise ParseError(f"unknown declaration {kw!r}", kw_tok[2], kw_tok[3])
@@ -276,10 +245,13 @@ def parse_algebra_source(text):
         raise ParseError("missing field declaration", 1, 1)
     if not basis:
         raise ParseError("missing basis declaration", 1, 1)
-    products = {k: v for k, v in products.items() if not vec_is_zero(v)}
-    maps = {name: {c: v for c, v in cols.items() if not vec_is_zero(v)}
-            for name, cols in maps.items()}
-    return AlgebraDoc(field, tuple(basis), products, maps, positions)
+    dim = len(basis)
+    algebra = AlgebraTable.from_products(
+        field, dim, {ij: _dense(field, v, dim) for ij, v in products.items()}, basis)
+    return AlgebraDoc(algebra, {
+        name: Matrix.from_columns(field, [_dense(field, cols.get(j, {}), dim)
+                                          for j in range(dim)])
+        for name, cols in maps.items()})
 
 
 def _fmt_combo(field, basis, vec):
@@ -304,40 +276,32 @@ def _fmt_combo(field, basis, vec):
 
 
 def serialize_algebra_doc(doc):
-    """Canonical text form; parsing it back yields an equal document."""
-    lines = [f"field {doc.field.spec_string()}"]
-    lines.append("basis " + " ".join(doc.basis))
-    for (i, j) in sorted(doc.products):
-        v = doc.products[(i, j)]
-        lines.append(f"mul {doc.basis[i]} {doc.basis[j]} = "
-                     f"{_fmt_combo(doc.field, doc.basis, v)}")
+    """Canonical text form; parsing it back yields an equal document.  A
+    map with no nonzero column is written as its first column, ``0``."""
+    A = doc.algebra
+    F, basis = A.field, A.basis_names
+    lines = [f"field {F.spec_string()}", "basis " + " ".join(basis)]
+    for i, j, _ in A._int_products():
+        lines.append(f"mul {basis[i]} {basis[j]} = "
+                     f"{_fmt_combo(F, basis, A.basis_product(i, j))}")
     for mname in sorted(doc.maps):
-        for col in sorted(doc.maps[mname]):
-            v = doc.maps[mname][col]
-            lines.append(f"map {mname} {doc.basis[col]} = "
-                         f"{_fmt_combo(doc.field, doc.basis, v)}")
+        M = doc.maps[mname]
+        cols = [j for j in range(A.dim) if any(M.column(j))] or [0]
+        for j in cols:
+            lines.append(f"map {mname} {basis[j]} = {_fmt_combo(F, basis, M.column(j))}")
     return "\n".join(lines) + "\n"
 
 
-def doc_from_algebra(A, maps=None):
-    """Wrap an algebra table (and optional named maps) as a document."""
-    products = {(i, j): A.basis_product(i, j) for i, j, _ in A.nonzero_products()}
-    map_cols = {}
-    for name, M in (maps or {}).items():
-        map_cols[name] = {j: M.column(j) for j in range(A.dim)
-                          if not vec_is_zero(M.column(j))}
-    return AlgebraDoc(A.field, A.basis_names, products, map_cols)
-
-
-def parse_element_combo(text, doc):
-    """Parse a standalone linear combination against a document's basis."""
+def parse_element_combo(text, A):
+    """Parse a standalone combination against a table's basis names into a
+    coordinate vector."""
     tokens = _tokenize(text, 1)
     if not tokens:
         raise ParseError("empty element expression", 1, 1)
     lp = _LineParser(tokens)
-    name_index = {n: i for i, n in enumerate(doc.basis)}
-    combo = _parse_combo(lp, doc.field, name_index, doc.dim)
+    name_index = {n: i for i, n in enumerate(A.basis_names)}
+    combo = _parse_combo(lp, A.field, name_index)
     if not lp.done():
         tok = lp.peek()
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
-    return combo
+    return _dense(A.field, combo, A.dim)

@@ -288,7 +288,7 @@ def quotient(A, I):
                                nrows=qdim)
     position = {c: a for a, c in enumerate(comp)}
     products = {(position[i], position[j]): project(A.basis_product(i, j))
-                for i, j, _ in A.nonzero_products() if i in position and j in position}
+                for i, j, _ in A._int_products() if i in position and j in position}
     names = tuple(A.basis_names[c] for c in comp)
     return AlgebraTable.from_products(F, qdim, products, names), proj
 

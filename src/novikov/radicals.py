@@ -86,13 +86,13 @@ def _nilradical_mod(A, K):
     # tau(e_k): the coefficient of e_c in e_k e_c modulo K over K's
     # non-pivot c
     tau = [F.zero] * d
-    for k, c, _ in A.nonzero_products():
+    for k, c, _ in A._int_products():
         if c not in pivots:
             tau[k] += K.residual_canonical(A.basis_product(k, c))[c]
-    # row j + 1 of the Gram matrix is x -> tau(x e_j)
+    # row j + 1 of the Gram matrix is x -> tau(x e_j), e_i e_j = sum (n / D) e_m
     gram = [tau] + [[F.zero] * d for _ in range(d)]
-    for i, j, ts in A.nonzero_products():
-        gram[j + 1][i] = sum(c * tau[m] for m, c in ts)
+    for i, j, ts in A._int_products():
+        gram[j + 1][i] = sum(n * tau[m] for m, n in ts) / A._den
     return kernel(Matrix(F, gram, ncols=d))
 
 

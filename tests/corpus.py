@@ -335,9 +335,10 @@ def reference_initial_lift(A, x):
 def reference_identity(A, kind, derivation=None):
     """The :class:`IdentityReport` of ``verify_identity(A, kind,
     derivation)``, with every law's sides contracted as sparse tensors of
-    field scalars read from ``A.index`` and the map's columns."""
+    field scalars read from ``A.cube`` and the map's columns."""
     F, n = A.field, A.dim
-    P = {(i, j): dict(ts) for i, row in enumerate(A.index) for j, ts in enumerate(row) if ts}
+    P = {(i, j): {k: c for k, c in enumerate(v) if c}
+         for i, plane in enumerate(A.cube) for j, v in enumerate(plane) if any(v)}
     if kind == "commutative":
         laws = [("xy == yx", P, _ref_swapped(P, 0, 1))]
     elif kind == "leibniz":

@@ -15,7 +15,7 @@ from novikov.cli import main, run_report
 from novikov.dsl import parse_algebra_source, serialize_algebra_doc
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-from regen_goldens import GOLDEN, GOLDEN_RUNS, golden_name  # noqa: E402
+from regen_goldens import GOLDEN, GOLDEN_RUNS, generated_inputs, golden_name  # noqa: E402
 
 
 def run_cli(argv, capsys):
@@ -74,6 +74,13 @@ def test_goldens_parse_roundtrip():
         text = (GOLDEN / f"{name}.alg").read_text(encoding="utf-8")
         doc = parse_algebra_source(text)
         assert parse_algebra_source(serialize_algebra_doc(doc)) == doc
+
+
+def test_generated_inputs_match_the_committed_files():
+    generated = generated_inputs()
+    assert sorted(generated) == ["ex1k2.alg", "ex1k3.alg", "tpoly4.alg"]
+    for name, text in generated.items():
+        assert (GOLDEN / name).read_bytes() == text.encode(), name
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +224,19 @@ def test_early_exits_give_a_coded_json_report(case, tmp_path, capsys, monkeypatc
     assert set(payload) == {"version", "error"} and set(payload["error"]) == {"code", "message"}
     assert payload["error"]["code"] == code_name
     assert payload["error"]["message"].startswith(text)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_an_oracle_budget_below_one_is_an_invalid_option(budget, capsys, monkeypatch):
+    monkeypatch.setenv("NOVIKOV_ORACLE_BUDGET", budget)
+    argv = ["oracle", fixture_path("gf3_a2"), "--task", "tower"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "NOVIKOV_ORACLE_BUDGET must be positive\n")
+    assert main(argv + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"version": __version__, "error": {
+        "code": "INVALID_OPTION", "message": "NOVIKOV_ORACLE_BUDGET must be positive"}}
 
 
 def test_field_algebra_radical_is_zero(tmp_path, capsys):
@@ -520,7 +540,7 @@ def test_a_closed_output_pipe_prints_no_traceback(argv):
 def test_internal_error_is_a_coded_report(monkeypatch, capsys):
     from novikov import cli
 
-    def broken(doc, options):
+    def broken(A, maps, options):
         raise RuntimeError("lifting failed to terminate")
 
     monkeypatch.setitem(cli._COMMANDS, "series", broken)

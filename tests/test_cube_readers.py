@@ -1,6 +1,6 @@
 """Only ``core.py`` reads the dense structure cube: every other module
 under ``src/novikov`` walks an algebra's nonzero products through
-``nonzero_products`` or ``basis_product``.  ``AlgebraTable.cube`` is built
+``_int_products`` or ``basis_product``.  ``AlgebraTable.cube`` is built
 on each read at O(dim^3) cost, so a loop over it in a library module would
 bring the dense representation back.
 

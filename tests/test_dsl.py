@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import a2
-from novikov import GF, QQ, verify_identity
+from novikov import GF, QQ, AlgebraTable, Matrix, verify_identity
 from novikov.constructions import truncated_poly, weighted_euler_derivation
-from novikov.dsl import (AlgebraDoc, ParseError, doc_from_algebra,
-                         parse_algebra_source, parse_element_combo,
-                         serialize_algebra_doc)
+from novikov.dsl import (AlgebraDoc, ParseError, parse_algebra_source,
+                         parse_element_combo, serialize_algebra_doc)
 
 A2_SOURCE = """field rational
 basis e1 e2
@@ -19,40 +18,41 @@ mul e1 e1 = e2
 
 def test_parse_running_example():
     doc = parse_algebra_source(A2_SOURCE)
-    assert doc.field == QQ
-    assert doc.basis == ("e1", "e2")
-    assert doc.products == {(0, 0): (Fraction(0), Fraction(1))}
-    assert doc.to_algebra() == a2()
+    assert doc.algebra.field == QQ
+    assert doc.algebra.basis_names == ("e1", "e2")
+    assert doc.algebra.basis_product(0, 0) == (Fraction(0), Fraction(1))
+    assert doc == AlgebraDoc(a2(), {})
 
 
 def test_parse_prime_field():
     doc = parse_algebra_source("field gf 3\nbasis a\nmul a a = 2*a\n")
-    assert doc.field == GF(3)
-    assert doc.products == {(0, 0): (2,)}
+    assert doc.algebra.field == GF(3)
+    assert doc.algebra.basis_product(0, 0) == (2,)
 
 
 def test_parse_comments_and_blank_lines():
     doc = parse_algebra_source(
         "# algebra definition\nfield rational\n\nbasis a b  # two vectors\n"
         "mul a a = b # square\n")
-    assert doc.basis == ("a", "b")
-    assert (0, 0) in doc.products
+    assert doc.algebra.basis_names == ("a", "b")
+    assert [ij for *ij, _ in doc.algebra._int_products()] == [[0, 0]]
 
 
 def test_parse_fractions_and_signs():
     doc = parse_algebra_source(
         "field rational\nbasis a b c\nmul a b = -a + 1/2*b - 3*c\n")
-    assert doc.products[(0, 1)] == (Fraction(-1), Fraction(1, 2), Fraction(-3))
+    assert doc.algebra.basis_product(0, 1) == (Fraction(-1), Fraction(1, 2), Fraction(-3))
 
 
 def test_parse_accumulates_repeated_names_in_terms():
     doc = parse_algebra_source("field rational\nbasis a\nmul a a = a + a\n")
-    assert doc.products[(0, 0)] == (Fraction(2),)
+    assert doc.algebra.basis_product(0, 0) == (Fraction(2),)
 
 
 def test_parse_zero_combination_dropped():
     doc = parse_algebra_source("field rational\nbasis a\nmul a a = a - a\n")
-    assert doc.products == {}
+    assert doc.algebra == AlgebraTable.from_products(QQ, 1, {}, ("a",))
+    assert list(doc.algebra._int_products()) == []
 
 
 def test_parse_maps():
@@ -60,15 +60,33 @@ def test_parse_maps():
         "field rational\nbasis t t2 t3\nmul t t = t2\nmul t t2 = t3\n"
         "mul t2 t = t3\n"
         "map d t = t\nmap d t2 = 2*t2\nmap d t3 = 3*t3\n")
-    d = doc.map_matrix("d")
-    B = doc.to_algebra()
+    d = doc.maps["d"]
+    B = doc.algebra
     assert verify_identity(B, "leibniz", derivation=d).ok
 
 
 def test_map_columns_default_to_zero():
     doc = parse_algebra_source("field rational\nbasis a b\nmap d a = b\n")
-    M = doc.map_matrix("d")
+    M = doc.maps["d"]
+    assert M.column(0) == (Fraction(0), Fraction(1))
     assert M.column(1) == (Fraction(0), Fraction(0))
+
+
+def test_a_lone_zero_is_the_zero_combination():
+    doc = parse_algebra_source("field gf 3\nbasis a b\nmul a a = 0\nmap d b = 0\n")
+    assert doc == AlgebraDoc(AlgebraTable.from_products(GF(3), 2, {}, ("a", "b")),
+                             {"d": Matrix.zeros(GF(3), 2, 2)})
+    assert parse_element_combo("0", doc.algebra) == (0, 0)
+    for text in ("0 + a", "0*a 0", "-0", "00"):
+        with pytest.raises(ParseError):
+            parse_element_combo(text, doc.algebra)
+
+
+def test_basis_names_may_follow_the_products():
+    doc = parse_algebra_source("field rational\nbasis a\nmul a a = a\nbasis b\n"
+                               "map d a = b\n")
+    assert doc.algebra == AlgebraTable.from_products(QQ, 2, {(0, 0): (1, 0)}, ("a", "b"))
+    assert doc.maps["d"] == Matrix(QQ, [[0, 0], [1, 0]])
 
 
 def test_unknown_basis_name_position():
@@ -169,11 +187,18 @@ def test_roundtrip_prime_field():
 def test_roundtrip_from_constructed_algebra():
     B = truncated_poly(4)
     d = weighted_euler_derivation(B, [1, 2, 3])
-    doc = doc_from_algebra(B, {"euler": d})
+    doc = AlgebraDoc(B, {"euler": d})
     again = roundtrip(doc)
     assert again == doc
-    assert again.to_algebra() == B
-    assert again.map_matrix("euler") == d
+    assert again.algebra == B
+    assert again.maps["euler"] == d
+
+
+def test_a_zero_map_round_trips():
+    doc = parse_algebra_source("field rational\nbasis a b\nmap d a = a - a\n")
+    assert doc.maps == {"d": Matrix.zeros(QQ, 2, 2)}
+    assert serialize_algebra_doc(doc) == "field rational\nbasis a b\nmap d a = 0\n"
+    assert roundtrip(doc) == doc
 
 
 def test_serialization_is_canonical():
@@ -197,11 +222,11 @@ def random_docs(draw):
     vectors = st.tuples(*[scalars] * dim)
     pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
     products = draw(st.dictionaries(pairs, vectors, max_size=dim * dim))
-    products = {k: v for k, v in products.items() if any(v)}
-    map_cols = draw(st.dictionaries(st.integers(0, dim - 1), vectors, max_size=dim))
-    maps = {"d": {c: v for c, v in map_cols.items() if any(v)}} if map_cols else {}
-    maps = {n: cols for n, cols in maps.items() if cols}
-    return AlgebraDoc(field, basis, products, maps)
+    map_cols = draw(st.none() | st.dictionaries(st.integers(0, dim - 1), vectors,
+                                                max_size=dim))
+    maps = {} if map_cols is None else {"d": Matrix.from_columns(
+        field, [map_cols.get(j, (field.zero,) * dim) for j in range(dim)])}
+    return AlgebraDoc(AlgebraTable.from_products(field, dim, products, basis), maps)
 
 
 @settings(max_examples=80, deadline=None)
@@ -215,8 +240,8 @@ def test_basis_names_shadowing_keywords_are_fine():
     doc = parse_algebra_source(
         "field rational\nbasis mul map basis\nmul mul mul = map\n"
         "map basis map = 2*basis\n")
-    assert doc.basis == ("mul", "map", "basis")
-    assert doc.products[(0, 0)] == (Fraction(0), Fraction(1), Fraction(0))
+    assert doc.algebra.basis_names == ("mul", "map", "basis")
+    assert doc.algebra.basis_product(0, 0) == (Fraction(0), Fraction(1), Fraction(0))
     assert roundtrip(doc) == doc
 
 
@@ -225,16 +250,16 @@ def test_basis_names_shadowing_keywords_are_fine():
 # ---------------------------------------------------------------------------
 
 def test_parse_element_combo():
-    doc = parse_algebra_source(A2_SOURCE)
-    assert parse_element_combo("e1 + 2*e2", doc) == (Fraction(1), Fraction(2))
-    assert parse_element_combo("-e1", doc) == (Fraction(-1), Fraction(0))
+    A = parse_algebra_source(A2_SOURCE).algebra
+    assert parse_element_combo("e1 + 2*e2", A) == (Fraction(1), Fraction(2))
+    assert parse_element_combo("-e1", A) == (Fraction(-1), Fraction(0))
 
 
 def test_parse_element_combo_errors():
-    doc = parse_algebra_source(A2_SOURCE)
+    A = parse_algebra_source(A2_SOURCE).algebra
     with pytest.raises(ParseError):
-        parse_element_combo("e7", doc)
+        parse_element_combo("e7", A)
     with pytest.raises(ParseError):
-        parse_element_combo("", doc)
+        parse_element_combo("", A)
     with pytest.raises(ParseError):
-        parse_element_combo("e1 e2", doc)
+        parse_element_combo("e1 e2", A)
