@@ -3,7 +3,8 @@
 
 Writes the derived .alg inputs (truncated polynomial and square-free
 monomial examples) and the expected JSON for every (fixture, command) pair
-listed in GOLDEN_RUNS.  ``tests/test_cli.py`` imports that list and
+listed in GOLDEN_RUNS, which ``perfbench/run.py`` keeps.
+``tests/test_cli.py`` imports that list through this script and
 compares CLI output byte for byte against these files, so rerun this
 script only when an output change is intended, and review the diff.
 """
@@ -13,35 +14,18 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 from novikov.cli import main
 from novikov.constructions import (example1_algebra, truncated_poly,
                                    weighted_euler_derivation)
 from novikov.dsl import AlgebraDoc, serialize_algebra_doc
 
-GOLDEN_RUNS = [
-    ("a2", ["check"]),
-    ("a2", ["radical", "--kind", "baer"]),
-    ("a2", ["series", "--kind", "right"]),
-    ("a2", ["certify", "--claim", "lemma3", "--element", "e1",
-            "--ideal", "e2", "--n", "2"]),
-    ("tpoly4", ["gd", "--derivation", "euler"]),
-    ("tpoly4", ["quasi-inverse", "--element", "t", "--side", "left", "--lift"]),
-    ("tpoly4", ["certify", "--claim", "theorem1", "--element", "t",
-                "--ideal", "t2", "--n", "2"]),
-    ("tpoly4", ["certify", "--claim", "lemma1", "--element", "t", "--n", "2"]),
-    ("tpoly4", ["quasi-inverse", "--element", "t + t2", "--side", "right"]),
-    ("tpoly3u", ["radical", "--kind", "lqr"]),
-    ("ex1k2", ["radical", "--kind", "baer"]),
-    ("ex1k3", ["check"]),
-    ("ex1k2", ["gd", "--derivation", "deg"]),
-    ("ex1k3", ["series", "--kind", "full"]),
-    ("gf3_a2", ["oracle", "--task", "tower"]),
-    ("gf3_a2", ["oracle", "--task", "nilpotents"]),
-    ("gf3_a2", ["oracle", "--task", "intersection", "--kind", "domain"]),
-    ("gf3_a2", ["radical", "--kind", "baer"]),
-]
+# The one list of golden runs and their file names is the benchmark's,
+# whose cli-golden workload replays them.
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import GOLDEN_RUNS, golden_name  # noqa: E402
 
 
 def generated_inputs():
@@ -58,11 +42,6 @@ def generated_inputs():
 def write_generated_inputs():
     for name, text in generated_inputs().items():
         (GOLDEN / name).write_text(text, encoding="utf-8")
-
-
-def golden_name(fixture, argv):
-    bits = [fixture] + [a.lstrip("-") for a in argv]
-    return ("_".join(bits).replace("/", "_").replace(" ", "")) + ".json"
 
 
 def regenerate():

@@ -152,11 +152,10 @@ class AlgebraTable:
         self._check_element(x)
         self._check_element(y)
         F = self.field
-        if F.p is not None:
-            return tuple(self.int_multiply(terms(x), terms(y)))
         xi, dx = int_vector(F, x)
         yi, dy = int_vector(F, y)
-        return from_int_vector(F, self.int_multiply(terms(xi), terms(yi)), dx * dy * self._den)
+        out = self.int_multiply(terms(xi), terms(yi))
+        return self.zero_vector() if out is None else from_int_vector(F, out, dx * dy * self._den)
 
     def int_multiply(self, xs, ys):
         """D times ``x y``, D = ``_den``, for integer vectors x and y (see
@@ -164,19 +163,26 @@ class AlgebraTable:
         ``xs = terms(x)`` and ``ys = terms(y)``, which a caller multiplying
         one vector many times computes once; a basis vector e_i is
         ``((i, 1),)``.  The sums are plain ints; over GF(p), where D = 1,
-        they are reduced to residues once per coordinate."""
+        they are reduced to residues once per coordinate.
+
+        None when no term is written, that is when ``e_i e_j = 0`` for
+        every i in x's support and j in y's: the product is zero, and no
+        vector is made.  A product whose terms cancel (mod p, or over QQ)
+        is still a list, of zeros, so a caller reads both as zero."""
         index = self._int_index
-        out = [0] * self.dim
+        out = None
         for i, a in xs:
             row = index[i]
             for j, b in ys:
                 prod = row[j]
                 if prod:
+                    if out is None:
+                        out = [0] * self.dim
                     s = a * b
                     for k, c in prod:
                         out[k] += s * c
         p = self.field.p
-        return out if p is None else [c % p for c in out]
+        return out if p is None or out is None else [c % p for c in out]
 
     def _int_powers(self, x, den=1):
         """Yield ``(p, d)`` with ``p / d`` = y^1, y^2, ... for y = x / den,
@@ -188,7 +194,7 @@ class AlgebraTable:
             yield p, den
             if not any(p):
                 return
-            p = self.int_multiply(terms(p), xs)
+            p = self.int_multiply(terms(p), xs) or [0] * self.dim
             if self.field.p is None:
                 den *= step
                 g = gcd(den, *p)

@@ -19,6 +19,7 @@ import sys
 from collections import namedtuple
 
 from .core import AlgebraTable
+from .errors import PreconditionError
 from .exactlin import GF, QQ, Matrix
 
 
@@ -277,8 +278,15 @@ def _fmt_combo(field, basis, vec):
 
 def serialize_algebra_doc(doc):
     """Canonical text form; parsing it back yields an equal document.  A
-    map with no nonzero column is written as its first column, ``0``."""
+    map with no nonzero column is written as its first column, ``0``.
+
+    The grammar has no empty basis, so a zero-dimensional table (which
+    ``quotient(A, A.full_space())`` returns) has no text form and raises
+    :class:`PreconditionError`."""
     A = doc.algebra
+    if not A.dim:
+        raise PreconditionError("a zero-dimensional algebra has no text form: "
+                                "the basis declaration needs a name")
     F, basis = A.field, A.basis_names
     lines = [f"field {F.spec_string()}", "basis " + " ".join(basis)]
     for i, j, _ in A._int_products():

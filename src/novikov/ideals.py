@@ -30,7 +30,7 @@ def _product_span(A, pairs):
     pairs.  Each integer product of integer rows is fed straight into the
     echelon rows, since a span does not depend on the scale of its
     spanning vectors; a repeated or dependent product reduces to zero
-    there."""
+    there, and a product with no term (None) is skipped."""
     F = A.field
     rows, pivots = [], []
     for U, V in pairs:
@@ -38,7 +38,9 @@ def _product_span(A, pairs):
         for u in U.int_rows:
             us = terms(u)
             for v in vs:
-                echelon_insert(F, rows, pivots, A.int_multiply(us, v))
+                w = A.int_multiply(us, v)
+                if w is not None:
+                    echelon_insert(F, rows, pivots, w)
     return Subspace(F, A.dim, rows, pivots)
 
 
@@ -54,8 +56,8 @@ def subspace_product(A, U, V):
 
 def is_ideal(A, U):
     """True iff AU + UA lies in U: every ``e_i u`` and ``u e_i`` over U's
-    basis rows reduces to zero against U's echelon rows.  Stops at the
-    first product that does not."""
+    basis rows is zero or reduces to zero against U's echelon rows.  Stops
+    at the first product that does not."""
     _check_subspace(A, U)
     if U.is_full():
         return True
@@ -63,25 +65,27 @@ def is_ideal(A, U):
         us = terms(u)
         for i in range(A.dim):
             e = ((i, 1),)
-            if not (U.contains_int(A.int_multiply(e, us))
-                    and U.contains_int(A.int_multiply(us, e))):
-                return False
+            for w in (A.int_multiply(e, us), A.int_multiply(us, e)):
+                if w is not None and not U.contains_int(w):
+                    return False
     return True
 
 
 def _grow(A, rows, pivots, queue, products):
     """Drain a worklist of spanning vectors: ``products(u)`` yields the
-    products of a popped vector u, each is inserted into the echelon rows,
-    and every new remainder is queued in turn.  Remainders are queued as
-    tuples: later insertions back-eliminate the stored rows in place, and a
-    queued vector should not change before it is read.
+    products of a popped vector u, each but a zero one (None) is inserted
+    into the echelon rows, and every new remainder is queued in turn.
+    Remainders are queued as tuples: later insertions back-eliminate the
+    stored rows in place, and a queued vector should not change before it
+    is read.
     """
     F = A.field
     while queue and len(rows) < A.dim:
         for w in products(queue.pop()):
-            r = echelon_insert(F, rows, pivots, w)
-            if r is not None:
-                queue.append(tuple(r))
+            if w is not None:
+                r = echelon_insert(F, rows, pivots, w)
+                if r is not None:
+                    queue.append(tuple(r))
     return Subspace(F, A.dim, rows, pivots)
 
 
@@ -143,13 +147,20 @@ def commutator_ideal(A, U):
 
 
 def _commutator_span(A, U):
-    """Span of ``{uv - vu : u, v in U basis}``, from integer products."""
+    """Span of ``{uv - vu : u, v in U basis}``, from integer products.
+    When one of uv and vu is zero (None) the other one, up to sign, is the
+    commutator, and when both are it adds nothing."""
     F, rows = A.field, [terms(u) for u in U.int_rows]
     out, pivots = [], []
     for a, u in enumerate(rows):
         for v in rows[a + 1:]:
-            echelon_insert(F, out, pivots, int_tidy(F, [
-                s - t for s, t in zip(A.int_multiply(u, v), A.int_multiply(v, u))]))
+            uv, vu = A.int_multiply(u, v), A.int_multiply(v, u)
+            if uv is None or vu is None:
+                w = vu if uv is None else uv
+            else:
+                w = int_tidy(F, [s - t for s, t in zip(uv, vu)])
+            if w is not None:
+                echelon_insert(F, out, pivots, w)
     return Subspace(F, A.dim, out, pivots)
 
 

@@ -95,7 +95,9 @@ def enumerate_subspaces(field, dim, budget=None):
 def _point_code(p, v):
     """The index of the point v of GF(p)^dim in :func:`enumerate_vectors`
     order: its coordinates, reduced mod p, as base-p digits, the first the
-    most significant."""
+    most significant.  A product with no term (None) is the origin, 0."""
+    if v is None:
+        return 0
     code = 0
     for a in v:
         code = code * p + a % p
@@ -173,12 +175,13 @@ def enumerate_ideals(A, budget=None):
 def power_iteration_index(A, x, max_exponent):
     """Smallest n <= max_exponent with x^n = 0 by direct iteration, or None.
 
-    The powers are the integer products of ``AlgebraTable.int_multiply``:
-    D^(n-1) x^n, which is zero exactly when x^n is (D = 1 over GF(p))."""
+    x is a point of GF(p)^dim, and each power is the next product of
+    ``AlgebraTable.int_multiply``, x^n = x^(n-1) x in residues (D = 1 over
+    GF(p)).  A product with no term (None) is the zero power."""
     xs = terms(x)
     power = x
     for n in range(1, max_exponent + 1):
-        if not any(power):
+        if power is None or not any(power):
             return n
         power = A.int_multiply(terms(power), xs)
     return None
@@ -254,9 +257,13 @@ def _quotient_is(A, I, held, kind):
     p, n = A.field.p, A.dim
     pivots = set(I.pivots)
     comp = [c for c in range(n) if c not in pivots]
+    zero = [0] * n
 
     def inside(v):
         return held >> _point_code(p, v) & 1
+
+    def times(u, v):  # u v, read as the zero vector when it has no term
+        return A.int_multiply(u, v) or zero
 
     reps = []  # each new one is multiplied by every one before it, both ways
     for values in islice(product(range(p), repeat=len(comp)), 1, None):  # not zero
@@ -266,21 +273,20 @@ def _quotient_is(A, I, held, kind):
             return False
     if kind == "field":
         unit = next((u for u in reps
-                     if all(inside(map(sub, A.int_multiply(u, ((j, 1),)), A.basis_vector(j)))
+                     if all(inside(map(sub, times(u, ((j, 1),)), A.basis_vector(j)))
                             for j in range(n))), None)
         if unit is None:
             return False
         u = [0] * n
         for c, a in unit:
             u[c] = a
-        if not all(any(inside(map(sub, A.int_multiply(x, y), u)) for y in reps)
+        if not all(any(inside(map(sub, times(x, y), u)) for y in reps)
                    for x in reps):
             return False
     e = [[A.basis_product(i, j) for j in range(n)] for i in range(n)]
     ts = [[terms(v) for v in row] for row in e]
     return (all(inside(map(sub, e[i][j], e[j][i])) for i in range(n) for j in range(i))
-            and all(inside(map(sub, A.int_multiply(ts[i][j], ((k, 1),)),
-                               A.int_multiply(((i, 1),), ts[j][k])))
+            and all(inside(map(sub, times(ts[i][j], ((k, 1),)), times(((i, 1),), ts[j][k])))
                     for i, j, k in product(range(n), repeat=3)))
 
 

@@ -99,12 +99,16 @@ def _nilradical_mod(A, K):
 def _int_power(A, x, e):
     """x^e for an integer vector x over GF(p) and e >= 1, in one bracketing,
     by left-to-right square and multiply on ``int_multiply``; every
-    bracketing agrees modulo an ideal with an associative quotient."""
+    bracketing agrees modulo an ideal with an associative quotient.  A
+    product with no term (None) makes every later one zero."""
     xs, out = terms(x), x
     for bit in bin(e)[3:]:
-        out = A.int_multiply(terms(out), terms(out))
-        if bit == "1":
+        ts = terms(out)
+        out = A.int_multiply(ts, ts)
+        if out is not None and bit == "1":
             out = A.int_multiply(terms(out), xs)
+        if out is None:
+            return [0] * A.dim
     return out
 
 
@@ -216,7 +220,8 @@ def _quasiregular_mod(A, x, side, K):
     cols = list(K.int_rows)
     for j in free:
         e = ((j, 1),)
-        cols.append(A.int_multiply(e, xs) if side == "left" else A.int_multiply(xs, e))
+        cols.append((A.int_multiply(e, xs) if side == "left" else A.int_multiply(xs, e))
+                    or [0] * n)
         cols[-1][j] -= D * dx
     rows = [[col[i] for col in cols] + [D * xi[i]] for i in range(n)]
     if F.p is not None:
@@ -239,7 +244,7 @@ def _quasiregular_mod(A, x, side, K):
 
 def _product(A, u, v):
     """The pair of u v, den not reduced."""
-    return A.int_multiply(terms(u[0]), terms(v[0])), A._den * u[1] * v[1]
+    return A.int_multiply(terms(u[0]), terms(v[0])) or [0] * A.dim, A._den * u[1] * v[1]
 
 
 def _combine(field, *parts):
@@ -376,7 +381,7 @@ def bound_certificates(A, x, n, ideal=None, claim=None):
 
     if claim == "lemma1":
         ts = [terms(power(n)), terms(power(n + 1))]
-        if any(any(A.int_multiply(t, t)) for t in ts):
+        if any(any(A.int_multiply(t, t) or ()) for t in ts):
             raise PreconditionError(
                 "claim needs (x^n)^2 = 0 and (x^{n+1})^2 = 0 for the given n")
         return Certificate("lemma1", {

@@ -198,16 +198,20 @@ def random_element(A, rng, spread=2):
 
 def left_basis_mul(A, i, v):
     """``e_i v`` through the integer product ``int_multiply``, with e_i
-    given as the basis term ``((i, 1),)``."""
+    given as the basis term ``((i, 1),)``; a product with no term (None)
+    is the zero vector."""
     vi, dv = int_vector(A.field, v)
-    return from_int_vector(A.field, A.int_multiply(((i, 1),), terms(vi)), dv * A._den)
+    out = A.int_multiply(((i, 1),), terms(vi))
+    return A.zero_vector() if out is None else from_int_vector(A.field, out, dv * A._den)
 
 
 def right_basis_mul(A, v, k):
     """``v e_k`` through the integer product ``int_multiply``, with e_k
-    given as the basis term ``((k, 1),)``."""
+    given as the basis term ``((k, 1),)``; a product with no term (None)
+    is the zero vector."""
     vi, dv = int_vector(A.field, v)
-    return from_int_vector(A.field, A.int_multiply(terms(vi), ((k, 1),)), dv * A._den)
+    out = A.int_multiply(terms(vi), ((k, 1),))
+    return A.zero_vector() if out is None else from_int_vector(A.field, out, dv * A._den)
 
 
 def operator_matrix(A, x, side="right"):

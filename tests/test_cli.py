@@ -83,6 +83,16 @@ def test_generated_inputs_match_the_committed_files():
         assert (GOLDEN / name).read_bytes() == text.encode(), name
 
 
+def test_the_golden_runs_are_the_benchmarks_one_list():
+    import regen_goldens
+    import run  # perfbench/run.py, on the path that regen_goldens sets
+
+    assert Path(run.__file__).resolve() == GOLDEN.parents[1] / "perfbench" / "run.py"
+    assert regen_goldens.GOLDEN_RUNS is run.GOLDEN_RUNS
+    assert regen_goldens.golden_name is run.golden_name
+    assert len(GOLDEN_RUNS) == 18
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error payloads
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from corpus import a2
 from novikov import GF, QQ, AlgebraTable, Matrix, verify_identity
 from novikov.constructions import truncated_poly, weighted_euler_derivation
+from novikov.errors import PreconditionError
 from novikov.dsl import (AlgebraDoc, ParseError, parse_algebra_source,
                          parse_element_combo, serialize_algebra_doc)
 
@@ -199,6 +200,14 @@ def test_a_zero_map_round_trips():
     assert doc.maps == {"d": Matrix.zeros(QQ, 2, 2)}
     assert serialize_algebra_doc(doc) == "field rational\nbasis a b\nmap d a = 0\n"
     assert roundtrip(doc) == doc
+
+
+def test_a_zero_dimensional_table_has_no_text_form():
+    with pytest.raises(PreconditionError) as info:
+        serialize_algebra_doc(AlgebraDoc(AlgebraTable(QQ, []), {}))
+    assert info.value.code == "PRECONDITION_FAILED"
+    with pytest.raises(ParseError):  # the text it would be has no basis name
+        parse_algebra_source("field rational\nbasis \n")
 
 
 def test_serialization_is_canonical():

@@ -217,6 +217,57 @@ def test_multiply_of_zero_vectors_is_canonical_zero(F):
         assert got == z and canonical_types(F, got)
 
 
+@st.composite
+def int_terms(draw, F, n):
+    """Sparse nonzero integer terms ``(k, c)`` in increasing k: any ints
+    over QQ, residues over GF(p)."""
+    coeff = st.integers(-4, 4).filter(bool) if F.p is None else st.integers(1, F.p - 1)
+    ks = draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    return [(k, draw(coeff)) for k in sorted(ks)]
+
+
+def from_terms(F, ts, n):
+    out = [F.zero] * n
+    for k, c in ts:
+        out[k] = F.coerce(c)
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_multiply_is_none_exactly_when_no_product_is_reached(data):
+    A = data.draw(tables())
+    F, n = A.field, A.dim
+    xs, ys = data.draw(int_terms(F, n)), data.draw(int_terms(F, n))
+    cube = A.cube
+    got = A.int_multiply(xs, ys)
+    if not any(any(cube[i][j]) for i, _ in xs for j, _ in ys):
+        assert got is None
+        return
+    assert type(got) is list
+    want = dense_multiply(A, from_terms(F, xs, n), from_terms(F, ys, n))
+    assert got == [c * A._den for c in want]  # D = 1 over GF(p)
+    if F.p is not None:
+        assert all(0 <= c < F.p for c in got)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.spec_string())
+def test_int_multiply_returns_a_cancelled_product_as_zeros(F):
+    # e1 e1 = e2 e1 = e1, so (e1 - e2) e1 = 0 with both terms written
+    A = AlgebraTable.from_products(F, 2, {(0, 0): (1, 0), (1, 0): (1, 0)})
+    minus_one = -1 if F.p is None else F.p - 1
+    assert A.int_multiply([(0, 1), (1, minus_one)], [(0, 1)]) == [0, 0]
+    assert A.int_multiply([(0, 1)], [(1, 1)]) is None  # e1 e2 is not reached
+    assert A.multiply(A.element([1, -1]), A.basis_vector(0)) == A.zero_vector()
+    assert A.multiply(A.basis_vector(0), A.basis_vector(1)) == A.zero_vector()
+
+
+def test_the_zero_dimensional_product_is_the_empty_vector():
+    A = AlgebraTable(QQ, [])
+    assert A.int_multiply([], []) is None
+    assert A.multiply((), ()) == ()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_basis_products_match_dense_reference(data):
